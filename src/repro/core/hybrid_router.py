@@ -85,6 +85,7 @@ class HybridRouter(PacketRouter):
         counts = self.counters._counts
         in_ports = self.in_ports
         port_buffered = self._port_buffered
+        busy_by_vc = self._busy_by_vc
         pipe_lat = self.rcfg.ps_pipeline_latency
         for inport in range(NUM_PORTS):
             staged = arrivals[inport]
@@ -99,7 +100,10 @@ class HybridRouter(PacketRouter):
                 else:
                     vcobj = in_ports[inport].vcs[flit.vc]
                     fifo = vcobj.fifo
-                    if len(fifo) >= vcobj.depth:
+                    if not fifo:
+                        if vcobj.out_vc is None:
+                            busy_by_vc[flit.vc] += 1
+                    elif len(fifo) >= vcobj.depth:
                         raise OverflowError(
                             "VC buffer overflow: credit protocol violated")
                     fifo.append(flit)
@@ -412,6 +416,8 @@ class HybridRouter(PacketRouter):
                 owned[outport] -= 1
                 vcobj.route_outport = None
                 vcobj.out_vc = None
+                if not vcobj.fifo:
+                    self._busy_by_vc[invc] -= 1
             ol = out_links[outport]
             if ol.faulty:
                 ol.send(flit, cycle)    # slow path keeps drop accounting

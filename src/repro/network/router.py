@@ -124,6 +124,12 @@ class PacketRouter(SimObject):
         #: buffered flits per input port — lets route-compute/VA skip
         #: ports with nothing buffered instead of scanning their VCs
         self._port_buffered = [0] * NUM_PORTS
+        #: busy input VCs per VC index: ``_busy_by_vc[i]`` counts the
+        #: input ports whose VC ``i`` is ``busy`` (FIFO non-empty or an
+        #: output VC held).  Kept exact at every FIFO push/pop and tail
+        #: release, so utilisation sampling and the drain checks are
+        #: O(VCs) instead of O(ports x VCs)
+        self._busy_by_vc = [0] * self.total_vcs
         #: reusable crossbar-input-usage scratch for ``_sa_st``
         self._used_in_scratch = [False] * NUM_PORTS
         #: (port, link) lists for ``deliver``, built on first use
@@ -230,12 +236,8 @@ class PacketRouter(SimObject):
             idle = self.sim_idle(cycle)
         finally:
             self.gating = g
-        if not idle:
+        if not idle or any(self._busy_by_vc):
             return False
-        for port in self.in_ports:
-            for vc in port.vcs:
-                if vc.busy:
-                    return False
         for owners in self.out_vc_owner:
             for owner in owners:
                 if owner is not None:
@@ -291,6 +293,8 @@ class PacketRouter(SimObject):
             self._return_credit(inport, flit.vc, cycle)
             return
         vcobj = self.in_ports[inport].vcs[flit.vc]
+        if not vcobj.fifo and vcobj.out_vc is None:
+            self._busy_by_vc[flit.vc] += 1
         vcobj.push(flit)
         flit.ready_cycle = cycle + self.rcfg.ps_pipeline_latency
         self._buffered_flits += 1
@@ -326,6 +330,8 @@ class PacketRouter(SimObject):
                         # packet consumed here (config processing) or
                         # killed by a fault (dead-link drop)
                         vcobj.pop()
+                        if not fifo:
+                            self._busy_by_vc[invc] -= 1
                         self._buffered_flits -= 1
                         port_buffered[inport] -= 1
                         self._return_credit(inport, invc, cycle)
@@ -539,6 +545,8 @@ class PacketRouter(SimObject):
             self.out_vc_owner[outport][ovc] = None
             self._owned_out[outport] -= 1
             vcobj.clear_route()
+            if not vcobj.fifo:
+                self._busy_by_vc[invc] -= 1
         self.out_links[outport].send(flit, cycle)
 
     def _return_credit(self, inport: int, invc: int, cycle: int) -> None:
@@ -552,6 +560,10 @@ class PacketRouter(SimObject):
         VC does not wedge behind a headless wormhole."""
         while vcobj.fifo and vcobj.fifo[0].packet is pkt:
             vcobj.pop()
+            if not vcobj.fifo:
+                # the VC never held an output (its head was consumed
+                # at route compute), so an empty FIFO means not busy
+                self._busy_by_vc[invc] -= 1
             self._buffered_flits -= 1
             self._port_buffered[inport] -= 1
             self.ledger.drop("packet_killed")
@@ -562,15 +574,13 @@ class PacketRouter(SimObject):
     # VC power gating support (controller lives in repro.core.vc_gating)
     # ------------------------------------------------------------------
     def _sample_utilisation(self) -> None:
-        busy = 0
-        total = 0
-        for port in self.in_ports:
-            for i in range(self.active_vcs):
-                total += 1
-                if port.vcs[i].busy:
-                    busy += 1
-        if total:
-            self._busy_accum += busy / total
+        """Add the busy fraction of the active data VCs to the epoch
+        integral.  An idle sample adds nothing: ``+= 0.0`` is the
+        identity on the (never ``-0.0``) accumulator."""
+        active = self.active_vcs
+        busy = sum(self._busy_by_vc[:active])
+        if busy:
+            self._busy_accum += busy / (NUM_PORTS * active)
         self._busy_samples += 1
 
     def pop_utilisation(self) -> float:
@@ -591,9 +601,8 @@ class PacketRouter(SimObject):
     def vc_drainable(self, index: int) -> bool:
         """True when data VC *index* is empty and unowned on every port,
         and no downstream VC *index* of ours is still held by anyone."""
-        for port in self.in_ports:
-            if port.vcs[index].busy:
-                return False
+        if self._busy_by_vc[index]:
+            return False
         for outport in range(NUM_PORTS):
             if self.out_vc_owner[outport][index] is not None:
                 return False
@@ -639,6 +648,8 @@ class PacketRouter(SimObject):
         self._owned_out = [sum(1 for o in row if o is not None)
                            for row in self.out_vc_owner]
         self._port_buffered = [p.occupancy() for p in self.in_ports]
+        self._busy_by_vc = [sum(1 for p in self.in_ports if p.vcs[i].busy)
+                            for i in range(self.total_vcs)]
         self.active_vcs = state["active_vcs"]
         self.powered_vcs = state["powered_vcs"]
         self.vc_power_integral = state["vc_power_integral"]

@@ -98,6 +98,7 @@ class SDMNetworkInterface(NetworkInterface):
     def _cs_flit_ok(self, flit: Flit, token: dict) -> None:
         self._cs_outstanding -= 1
         token["pending"].remove(flit)
+        self.ledger.injected += 1
         self.counters.inc("flit_injected")
 
     def _cs_flit_failed(self, flit: Flit, token: dict) -> None:
@@ -148,6 +149,7 @@ class SDMNetworkInterface(NetworkInterface):
             flit = stream.popleft()
             self.local_credits[vc] -= 1
             self.inject_link.send(flit, cycle)
+            self.ledger.injected += 1
             self.counters.inc("flit_injected")
             if not stream:
                 self.vc_in_use[vc] = None

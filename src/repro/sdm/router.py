@@ -59,6 +59,7 @@ class SDMRouter(PacketRouter):
         self.credits = [[0] * self.total_vcs for _ in range(NUM_PORTS)]
         self.out_vc_owner = [[None] * self.total_vcs for _ in range(NUM_PORTS)]
         self._sa_ptr = [0] * (NUM_PORTS * self.planes)
+        self._busy_by_vc = [0] * self.total_vcs
 
         # circuit state
         self.cs_route: List[List[int]] = [
@@ -242,8 +243,17 @@ class SDMRouter(PacketRouter):
                     out = self._compute_route(inport, head, cycle)
                     if out is None:
                         vcobj.pop()
+                        if not vcobj.fifo:
+                            self._busy_by_vc[invc] -= 1
                         self._buffered_flits -= 1
+                        self._port_buffered[inport] -= 1
                         self._return_credit(inport, invc, cycle)
+                        if head.packet.dropped:
+                            self.ledger.drop("packet_killed")
+                            self._drain_dropped(vcobj, head.packet,
+                                                inport, invc, cycle)
+                        else:
+                            self.ledger.consumed += 1
                         continue
                     vcobj.route_outport = out
                 is_config = invc == port.config_vc_index
@@ -329,6 +339,7 @@ class SDMRouter(PacketRouter):
         vcobj = self.in_ports[inport].vcs[invc]
         flit = vcobj.pop()
         self._buffered_flits -= 1
+        self._port_buffered[inport] -= 1
         self.counters.inc("buffer_read")
         self.counters.inc("xbar")
         self._return_credit(inport, invc, cycle)
@@ -341,6 +352,8 @@ class SDMRouter(PacketRouter):
             self.out_vc_owner[outport][ovc] = None
             self._owned_out[outport] -= 1
             vcobj.clear_route()
+            if not vcobj.fifo:
+                self._busy_by_vc[invc] -= 1
         self.out_links[outport].send(flit, cycle)
 
     # ------------------------------------------------------------------

@@ -462,10 +462,8 @@ class VectorStepper:
         """Persistent conditions that keep a router object-stepped."""
         if self._hybrid and (r._cs_inject or r._cs_flags_dirty):
             return True
-        cv = r.config_vc
-        for port in r.in_ports:
-            if port.vcs[cv].busy:
-                return True
+        if r._busy_by_vc[r.config_vc]:
+            return True
         for staged in r._arrivals:
             if staged:
                 return True
@@ -683,6 +681,7 @@ class VectorStepper:
         counts = r.counters._counts
         in_ports = r.in_ports
         port_buffered = r._port_buffered
+        busy_by_vc = r._busy_by_vc
         pipe_lat = r.rcfg.ps_pipeline_latency
         hybrid = self._hybrid
         head_kind = FlitKind.HEAD
@@ -707,6 +706,8 @@ class VectorStepper:
                 port_buffered[inport] += 1
                 counts["buffer_write"] = counts.get("buffer_write", 0) + 1
                 if len(fifo) == 1:
+                    if vcobj.out_vc is None:
+                        busy_by_vc[v] += 1
                     hu_i.append(base + inport * n_vcs + v)
                     hu_r.append(flit.ready_cycle)
                     kind = flit.kind
@@ -859,6 +860,7 @@ class VectorStepper:
                 out_links = r.out_links
                 rcredits = r.credits
                 port_buffered = r._port_buffered
+                busy_by_vc = r._busy_by_vc
                 sa_ptr = r._sa_ptr
                 owner = r.out_vc_owner
                 owned_out = r._owned_out
@@ -947,6 +949,8 @@ class VectorStepper:
                 owned_out[p] -= 1
                 vcobj.route_outport = None
                 vcobj.out_vc = None
+                if not fifo:
+                    busy_by_vc[wiv] -= 1
                 co.append(base + p * n_vcs + ovc)
                 fs.append(base + wip * n_vcs + wiv)
             olk = out_links[p]

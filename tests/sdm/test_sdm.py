@@ -73,6 +73,18 @@ class TestSDMPacketSwitched:
         received = sum(s.messages_received for s in sources)
         assert received == generated > 0
 
+    def test_port_buffered_and_ledger_exact_under_load(self):
+        """The per-port buffered-flit counts, which the SDM traversal and
+        route-compute pops must keep current, equal a scan of the input
+        VCs mid-run, and the conservation ledger balances."""
+        sim, net, _ = run_traffic("hybrid_sdm_vc4", "transpose", rate=0.3,
+                                  warmup=0, measure=800)
+        assert sum(r.occupancy() for r in net.routers) > 0
+        for r in net.routers:
+            assert r._port_buffered == [p.occupancy() for p in r.in_ports]
+        assert net.ledger.injected > 0
+        assert net.conservation_imbalance() == 0
+
     def test_serialisation_penalty_vs_wide_network(self):
         """At low load an SDM data packet takes longer than a full-width
         packet because of the 17-flit serialisation."""

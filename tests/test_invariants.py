@@ -3,7 +3,8 @@
 These are the heavyweight guarantees of the simulator:
 
 * message conservation — whatever the scheme, pattern, rate or seed,
-  every generated message is delivered exactly once after drain;
+  every generated message is delivered exactly once after drain, and
+  the flit conservation ledger balances;
 * credit restoration — flow-control state returns to its initial value
   when the network empties;
 * slot-table consistency — input tables and output-owner maps never
@@ -13,6 +14,7 @@ These are the heavyweight guarantees of the simulator:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.config import SCHEMES as ALL_SCHEMES
 from repro.network.topology import NUM_PORTS
 
 from tests.conftest import build, drain, run_traffic
@@ -37,6 +39,17 @@ def test_message_conservation(scheme, pattern, rate, seed):
     generated = sum(s.messages_generated for s in sources)
     received = sum(s.messages_received for s in sources)
     assert received == generated
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_flit_ledger_balances_after_drain(scheme):
+    """Every flit an NI injected was ejected, consumed in a router or
+    dropped with a cause: the conservation ledger balances to zero."""
+    sim, net, _ = run_traffic(scheme, "transpose", rate=0.3, warmup=0,
+                              measure=600, seed=11)
+    assert drain(sim, net, max_cycles=20_000)
+    assert net.ledger.injected > 0
+    assert net.conservation_imbalance() == 0
 
 
 @light
