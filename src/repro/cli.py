@@ -600,14 +600,6 @@ def cmd_bench(args) -> int:
         ("scenario", "legacy_cps", "fast_cps", "batch_cps", "fast_x",
          "batch_x", "targets", "ok"),
         rows, title=f"Engine throughput (best of {args.repeats})"))
-    if not args.no_replicas:
-        from repro.harness.bench import time_replica_throughput
-        rep_fig = time_replica_throughput(seed=args.seed)
-        report["replicas"] = rep_fig
-        print(f"\nbatched replicas: {rep_fig['replicas']} seeds x "
-              f"{rep_fig['cycles_per_replica']} cycles: "
-              f"{rep_fig['batched_wall_seconds']}s wall "
-              f"({rep_fig['batched_cps']} cycles/s aggregate)")
     if not args.no_sweep:
         sweep_fig = time_supervised_sweep(jobs=args.jobs, seed=args.seed)
         report["sweep"] = sweep_fig
@@ -1054,8 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", default=None,
                    help="committed BENCH_simperf.json to regress "
                         "fast/batch-engine throughput against")
-    p.add_argument("--no-replicas", action="store_true",
-                   help="skip the batched-replica throughput figure")
     p.add_argument("--tolerance", type=float, default=0.02,
                    help="allowed slowdown vs the baseline; values >= 1 "
                         "are read as a percentage (10 means 10%%)")

@@ -328,10 +328,6 @@ class NetworkConfig:
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     #: 'packet', 'tdm' or 'sdm'
     switching: str = "tdm"
-    #: recycle dead flits through a free-list pool instead of allocating
-    #: fresh objects (see :func:`repro.network.flit.enable_flit_pool`);
-    #: behaviour-identical, off by default
-    flit_pool: bool = False
 
     def __post_init__(self) -> None:
         if self.width < 2 or self.height < 2:

@@ -34,15 +34,12 @@ from repro.core.slot_table import SlotClock
 from repro.network.flit import (
     ConfigPayload,
     ConfigType,
-    IdSource,
     Message,
     MessageClass,
 )
 from repro.network.topology import LOCAL, Mesh
 from repro.obs.trace import NULL_RECORDER
 from repro.sim.kernel import SimObject
-
-_conn_ids = IdSource(1)
 
 
 class ConnState(Enum):
@@ -350,15 +347,15 @@ class ConnectionManager(SimObject):
                 self.size_controller.note_setup_result(False)
             return
         if conn is None:
-            conn = Connection(_conn_ids(), self.node, dst, slot0,
-                              duration, now)
+            conn = Connection(self.ni.sim.conn_ids(), self.node, dst,
+                              slot0, duration, now)
             self.connections[dst] = conn
             self.by_id[conn.conn_id] = conn
         else:
             # retry: fresh id so stale partial reservations cannot alias
             # (a timed-out conn was already dropped from by_id)
             self.by_id.pop(conn.conn_id, None)
-            conn.conn_id = _conn_ids()
+            conn.conn_id = self.ni.sim.conn_ids()
             conn.slot0 = slot0
             conn.state = ConnState.PENDING
             self.by_id[conn.conn_id] = conn

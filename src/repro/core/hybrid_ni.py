@@ -77,8 +77,8 @@ class HybridNetworkInterface(NetworkInterface):
 
     def _send_circuit(self, msg: Message, plan: CSPlan) -> None:
         msg.final_dst = plan.final_dst
-        pkt = Packet(msg, src=self.node, dst=plan.circuit_dst,
-                     size=plan.size, circuit=True)
+        pkt = self.new_packet(msg, plan.circuit_dst, plan.size,
+                              circuit=True)
         pkt.inject_cycle = plan.t0
         flits = pkt.make_flits()
         token = {"cancelled": False, "plan": plan, "pkt": pkt,

@@ -234,42 +234,6 @@ def run_bench(repeats: int = 5, seed: int = 1,
     }
 
 
-def time_replica_throughput(n_replicas: int = 4, seed: int = 1,
-                            cycles: int = 2000) -> Dict:
-    """Wall-clock a batched-replica run vs the same seeds run solo.
-
-    Both sides use the batch engine, so the figure isolates what
-    replica batching itself buys (shared loop, amortised Python
-    dispatch) rather than re-measuring engine speedups."""
-    from repro.sim.batch.replica import ReplicaSet
-
-    seeds = [seed + i for i in range(n_replicas)]
-    build = dict(width=4, height=4, slot_table_size=32, stop_cycle=400)
-
-    t0 = time.perf_counter()
-    rs = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.1,
-                              seeds, **build)
-    rs.run(cycles, chunk=500)
-    batched = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solo = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.1,
-                                [seeds[0]], **build)
-    solo.run(cycles, chunk=500)
-    solo_wall = time.perf_counter() - t0
-
-    total = cycles * n_replicas
-    return {
-        "replicas": n_replicas,
-        "cycles_per_replica": cycles,
-        "batched_wall_seconds": round(batched, 3),
-        "solo_wall_seconds": round(solo_wall, 3),
-        "batched_cps": round(total / batched, 1) if batched else 0.0,
-        "efficiency": round(solo_wall * n_replicas / batched, 3)
-        if batched else 0.0,
-    }
-
-
 def time_supervised_sweep(jobs: int = 0, seed: int = 1,
                           n_points: int = 8) -> Dict:
     """Wall-clock one small supervised sweep; returns a report figure.

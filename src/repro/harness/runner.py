@@ -124,12 +124,6 @@ def run_synthetic(scheme: str, pattern: str, rate: float,
     Attaching never changes results — the recorder draws no RNG and is
     excluded from snapshots.
     """
-    # ids are global allocators captured into snapshots and the state
-    # hash; start them from zero so the hash of this run is a function
-    # of the run alone, not of what the hosting process allocated
-    # before it (a forked worker and a fresh interpreter must agree)
-    from repro.sim.checkpoint import reset_id_counters
-    reset_id_counters()
     if cfg is None:
         cfg = scheme_config(scheme, width=width, height=height,
                             slot_table_size=slot_table_size)

@@ -288,9 +288,7 @@ def _run_hetero_point(point: Dict) -> Dict:
     """Execute one closed-loop hetero or trace-replay sweep point."""
     from repro.harness.runner import scaled
     from repro.hetero.system import HeteroSystem, run_hetero_replay
-    from repro.sim.checkpoint import reset_id_counters
 
-    reset_id_counters()
     warmup = scaled(point.get("warmup", 2000))
     measure = scaled(point.get("measure", 6000))
     common = dict(seed=point.get("seed", 1),

@@ -170,17 +170,6 @@ class EquivalenceReport:
     divergent_engines: List[str] = field(default_factory=list)
     mismatches: List[str] = field(default_factory=list)
 
-    # Back-compat accessors from the two-engine report format (the
-    # original fields assumed exactly ("legacy", "fast")); older
-    # callers and the CLI table keep working against N-way reports.
-    @property
-    def hash_final_legacy(self) -> str:
-        return self.final_hashes.get("legacy", "")
-
-    @property
-    def hash_final_fast(self) -> str:
-        return self.final_hashes.get("fast", "")
-
 
 def compare_engine_runs(engines: Sequence[str],
                         hashes: Dict[str, List[str]],
@@ -229,15 +218,6 @@ def compare_engine_runs(engines: Sequence[str],
     return -1, [], []
 
 
-def _reset_id_counters() -> None:
-    """Zero the global id allocators before building a differential
-    pair — ids are part of the hashed state, so both builds must draw
-    them from the same starting point (see
-    :func:`repro.sim.checkpoint.reset_id_counters`)."""
-    from repro.sim.checkpoint import reset_id_counters
-    reset_id_counters()
-
-
 def verify_equivalence(scheme: str, pattern: str = "uniform_random",
                        rate: float = 0.12, cycles: int = 300,
                        interval: int = 100, seed: int = 1,
@@ -249,10 +229,9 @@ def verify_equivalence(scheme: str, pattern: str = "uniform_random",
     """Run one workload under N engines, compare state at checkpoints.
 
     Every run is built through :func:`prepare_synthetic` from the same
-    seed (with the global id allocators reset before each build) and
-    advanced ``interval`` cycles at a time; at every checkpoint the
-    canonical state hash and the stats fingerprint must agree exactly
-    with the first (baseline) engine's.  ``stop_cycle``, when set,
+    seed and advanced ``interval`` cycles at a time; at every checkpoint
+    the canonical state hash and the stats fingerprint must agree
+    exactly with the first (baseline) engine's.  ``stop_cycle``, when set,
     stops the traffic sources mid-run so the drain/quiescent path —
     where the fast engine sleeps components and the batch engine
     fast-forwards — is exercised, not just the saturated path.
@@ -274,12 +253,7 @@ def verify_equivalence(scheme: str, pattern: str = "uniform_random",
     if faults is not None:
         cfg = replace(cfg, faults=FaultConfig(enabled=True, **faults))
 
-    # The runs execute SEQUENTIALLY, not interleaved: the id allocators
-    # are module globals, so two simultaneously-live runs would draw
-    # interleaved ids and differ for a reason that has nothing to do
-    # with the engines.  Each run gets the counters reset to zero first.
     def _run(engine: str):
-        _reset_id_counters()
         sim, net, sources = prepare_synthetic(scheme, pattern, rate,
                                               engine=engine, seed=seed,
                                               width=width, height=height,

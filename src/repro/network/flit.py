@@ -80,32 +80,11 @@ class ConfigPayload:
                 f" conn={self.conn_id})")
 
 
-class IdSource:
-    """Monotonic id generator with inspectable/restorable state.
-
-    Unlike ``itertools.count`` the current value can be read and set,
-    which the checkpoint layer needs so ids issued after a restore do
-    not collide with ids already present in the snapshot.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, start: int = 0) -> None:
-        self.value = start
-
-    def __call__(self) -> int:
-        v = self.value
-        self.value = v + 1
-        return v
-
-
-_msg_ids = IdSource()
-_pkt_ids = IdSource()
-
-
 class Message:
     """An endpoint-level message.
 
+    ``id`` is None until the message enters a simulation: the NI that
+    first packetises it stamps it from its simulator's allocator.
     ``final_dst`` differs from ``dst`` only for vicinity-shared messages,
     which ride a circuit to ``dst`` (the circuit's endpoint) and then hop
     off to ``final_dst`` through the packet-switched network.
@@ -117,7 +96,7 @@ class Message:
     def __init__(self, src: int, dst: int, mclass: MessageClass,
                  size_flits: int, create_cycle: int,
                  payload=None, final_dst: Optional[int] = None) -> None:
-        self.id = _msg_ids()
+        self.id: Optional[int] = None
         self.src = src
         self.dst = dst
         self.final_dst = dst if final_dst is None else final_dst
@@ -133,53 +112,13 @@ class Message:
                 f"{self.dst} size={self.size_flits})")
 
 
-#: module-global flit free list (see :func:`enable_flit_pool`); ``None``
-#: while pooling is disabled so the hot paths pay a single falsy check
-_flit_pool: Optional[list] = None
-#: bound on retained flits — keeps a pathological burst from pinning
-#: memory forever
-_FLIT_POOL_CAP = 4096
-
-
-def enable_flit_pool(enabled: bool = True) -> None:
-    """Switch the flit free-list pool on or off (default: off).
-
-    When enabled, :meth:`Packet.make_flits` reuses flits released by
-    :func:`release_flit` (the NI frees each flit on ejection — the only
-    point where a flit is provably unreachable from live state) instead
-    of allocating fresh objects.  Every field is re-initialised on
-    acquisition, and pooled flits are never referenced by any
-    ``state_dict``, so snapshots, hashes and the differential
-    equivalence between the two engines are unaffected.  Toggling the
-    pool clears it, so tests cannot leak flits across configurations.
-    """
-    global _flit_pool
-    _flit_pool = [] if enabled else None
-
-
-def flit_pool_size() -> int:
-    """Current number of pooled flits (introspection/tests)."""
-    return len(_flit_pool) if _flit_pool is not None else 0
-
-
-def release_flit(flit: "Flit") -> None:
-    """Return *flit* to the pool (no-op while pooling is disabled).
-
-    Callers must guarantee the flit is dead: ejected at an NI and
-    dropped from every buffer, link pipe and snapshot-visible container.
-    """
-    pool = _flit_pool
-    if pool is not None and len(pool) < _FLIT_POOL_CAP:
-        flit.packet = None      # drop the reference so packets can be GCed
-        pool.append(flit)
-
-
 class Packet:
     """A message instance travelling on one network (one per message here).
 
     ``circuit`` marks the packet as travelling on a reserved TDM circuit;
     individual flits inherit this through :attr:`Flit.is_circuit` (the
     simulated equivalent of the 1-bit circuit-arrival lookahead wire).
+    ``pid`` is drawn by the injecting NI from its simulator.
     """
 
     __slots__ = ("id", "msg", "src", "dst", "size", "mclass", "circuit",
@@ -187,8 +126,8 @@ class Packet:
                  "flits_received", "dropped", "misroutes")
 
     def __init__(self, msg: Message, src: int, dst: int, size: int,
-                 circuit: bool = False) -> None:
-        self.id = _pkt_ids()
+                 circuit: bool = False, pid: Optional[int] = None) -> None:
+        self.id = pid
         self.msg = msg
         self.src = src
         self.dst = dst
@@ -204,34 +143,14 @@ class Packet:
         self.misroutes = 0       # non-minimal hops taken around dead links
 
     def make_flits(self) -> list:
-        """Build this packet's flit train (pool-aware, see
-        :func:`enable_flit_pool`)."""
+        """Build this packet's flit train."""
         n = self.size
         if n == 1:
             kinds = (FlitKind.HEAD_TAIL,)
         else:
             kinds = [FlitKind.HEAD] + [FlitKind.BODY] * (n - 2) \
                 + [FlitKind.TAIL]
-        pool = _flit_pool
-        if not pool:    # disabled (None) or empty: allocate fresh
-            return [Flit(self, k, i) for i, k in enumerate(kinds)]
-        out = []
-        circuit = self.circuit
-        for i, k in enumerate(kinds):
-            if pool:
-                flit = pool.pop()
-                # re-initialise EVERY field (a pooled flit carries
-                # arbitrary stale values from its previous life)
-                flit.packet = self
-                flit.kind = k
-                flit.index = i
-                flit.vc = -1
-                flit.is_circuit = circuit
-                flit.ready_cycle = 0
-            else:
-                flit = Flit(self, k, i)
-            out.append(flit)
-        return out
+        return [Flit(self, k, i) for i, k in enumerate(kinds)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "CS" if self.circuit else "PS"

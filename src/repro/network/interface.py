@@ -20,8 +20,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.config import NetworkConfig
-from repro.network.flit import (Flit, Message, MessageClass, Packet,
-                                release_flit)
+from repro.network.flit import Flit, Message, MessageClass, Packet
 from repro.network.link import CreditLink, FlitLink
 from repro.network.topology import LOCAL
 from repro.obs.trace import NULL_RECORDER
@@ -152,10 +151,20 @@ class NetworkInterface(SimObject):
                 MessageClass.CONFIG: "config",
             }[msg.mclass]
         size = self.cfg.packet_size(size_kind)
-        pkt = Packet(msg, src=self.node, dst=msg.dst, size=size, circuit=False)
-        self.ps_queue.append((pkt, None))
+        self.ps_queue.append((self.new_packet(msg, msg.dst, size), None))
         self.sent_messages += 1
         self.sim_wake()
+
+    def new_packet(self, msg: Message, dst: int, size: int,
+                   circuit: bool = False) -> Packet:
+        """Packetise *msg* for injection here, drawing ids from the
+        owning simulator.  A message keeps the id it got on first
+        entry, so a vicinity hop-off leg shares its parent's."""
+        sim = self.sim
+        if msg.id is None:
+            msg.id = sim.msg_ids()
+        return Packet(msg, src=self.node, dst=dst, size=size,
+                      circuit=circuit, pid=sim.pkt_ids())
 
     def enqueue_stream(self, pkt: Packet, flits: Deque[Flit]) -> None:
         """Queue pre-built flits for packet-switched injection (used for
@@ -246,9 +255,6 @@ class NetworkInterface(SimObject):
         if self.obs.enabled:
             self.obs.flit_eject(cycle, self._obs_track, pkt.id,
                                 flit.index, flit.is_circuit, done)
-        # ejection is the one point where a flit is provably dead (out of
-        # every buffer, pipe and snapshot): hand it to the optional pool
-        release_flit(flit)
         if not done:
             return
         pkt.eject_cycle = cycle

@@ -66,15 +66,13 @@ class SDMNetworkInterface(NetworkInterface):
                 MessageClass.CONFIG: "config",
             }[msg.mclass]
         size = sdm_packet_size(self.cfg, size_kind)
-        pkt = Packet(msg, src=self.node, dst=msg.dst, size=size,
-                     circuit=False)
-        self.ps_queue.append((pkt, None))
+        self.ps_queue.append((self.new_packet(msg, msg.dst, size), None))
         self.sent_messages += 1
         self.sim_wake()
 
     def _send_circuit(self, msg: Message, plan) -> None:
-        pkt = Packet(msg, src=self.node, dst=plan.circuit_dst,
-                     size=plan.size, circuit=True)
+        pkt = self.new_packet(msg, plan.circuit_dst, plan.size,
+                              circuit=True)
         pkt.plane = plan.expected_outport  # plane index rides this field
         pkt.inject_cycle = plan.t0
         flits = pkt.make_flits()

@@ -14,10 +14,6 @@ fast scheduler:
   closed-form always-on bookkeeping (gating utilisation sampling), the
   cycle counter jumps to the next event and the k skipped cycles are
   applied as O(1) array updates that are bit-identical to stepping.
-* :mod:`repro.sim.batch.replica` steps N independently-seeded copies of
-  one workload through a single shared loop (batched replicas), with
-  per-replica id-allocator banking so every replica's trajectory is
-  bit-identical to a solo run.
 
 Correctness is carried by the three-way differential harness
 (:func:`repro.harness.verify.verify_equivalence` with
@@ -26,7 +22,5 @@ Correctness is carried by the three-way differential harness
 
 from repro.sim.batch.engine import BatchEngine
 from repro.sim.batch.layout import CompiledLayout, compile_layout
-from repro.sim.batch.replica import ReplicaSet
 
-__all__ = ["BatchEngine", "CompiledLayout", "compile_layout",
-           "ReplicaSet"]
+__all__ = ["BatchEngine", "CompiledLayout", "compile_layout"]

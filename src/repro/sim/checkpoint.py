@@ -6,8 +6,9 @@ machinery:
 
 ``capture_state``
     Collects the full mutable state of a (``Simulator``, ``Network``)
-    pair through the component :meth:`state_dict` protocol, plus the
-    module-level id counters, and *freezes* it with a single pickle
+    pair through the component :meth:`state_dict` protocol (the
+    simulator's part includes its id allocators) and *freezes* it with
+    a single pickle
     round-trip.  The single pass is essential: a flit can sit in a link
     pipe while its packet is tracked by the source NI and its connection
     record lives in two manager dicts — one pickling pass preserves all
@@ -47,7 +48,7 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 #: bump when the capture tree layout changes incompatibly
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: file magic; the trailing newline keeps the header line-oriented
 MAGIC = b"RSNP1\n"
@@ -119,17 +120,9 @@ def capture_state(sim, net) -> Dict:
     :func:`state_hash`, :func:`save_snapshot` and :func:`restore_state`
     operate on.
     """
-    from repro.core import circuit as _circuit_mod
-    from repro.network import flit as _flit_mod
-
     tree = {
         "format": SNAPSHOT_VERSION,
         "sim": sim.state_dict(),
-        "ids": {
-            "msg": _flit_mod._msg_ids.value,
-            "pkt": _flit_mod._pkt_ids.value,
-            "conn": _circuit_mod._conn_ids.value,
-        },
         "net": net.state_dict(),
     }
     return _freeze(tree)
@@ -145,17 +138,11 @@ def restore_state(sim, net, tree: Dict) -> None:
     loaded, so the same tree can be restored multiple times (and hashed
     afterwards) without aliasing live simulation objects.
     """
-    from repro.core import circuit as _circuit_mod
-    from repro.network import flit as _flit_mod
-
     if tree.get("format") != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot format {tree.get('format')!r} != {SNAPSHOT_VERSION}")
     tree = _freeze(tree)
     sim.load_state_dict(tree["sim"])
-    _flit_mod._msg_ids.value = int(tree["ids"]["msg"])
-    _flit_mod._pkt_ids.value = int(tree["ids"]["pkt"])
-    _circuit_mod._conn_ids.value = int(tree["ids"]["conn"])
     net.load_state_dict(tree["net"])
     # sleep flags are scheduler metadata, not state: after a restore every
     # object must re-evaluate its quiescence from the loaded state
@@ -168,25 +155,6 @@ def _freeze(tree: Dict) -> Dict:
         return pickle.loads(pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception as exc:  # unpicklable leak (closure, generator, ...)
         raise SnapshotError(f"state tree is not picklable: {exc}") from exc
-
-
-def reset_id_counters() -> None:
-    """Zero the module-global message/packet/connection id allocators.
-
-    The allocators are captured into every snapshot (the ``ids``
-    sub-tree above), so they are part of the canonical state hash.  A
-    run that wants a *reproducible* hash must therefore start them from
-    a known point — otherwise the hash encodes how many objects the
-    hosting process happened to allocate before the run, and the same
-    simulation hashes differently in a fresh interpreter than in a
-    long-lived one (or in a fork of it).
-    """
-    from repro.core import circuit as _circuit_mod
-    from repro.network import flit as _flit_mod
-
-    _flit_mod._msg_ids.value = 0
-    _flit_mod._pkt_ids.value = 0
-    _circuit_mod._conn_ids.value = 0
 
 
 # ---------------------------------------------------------------------------

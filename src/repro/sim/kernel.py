@@ -96,6 +96,25 @@ def default_engine() -> str:
     return env
 
 
+class IdSource:
+    """Monotonic id generator with inspectable/restorable state.
+
+    Unlike ``itertools.count`` the current value can be read and set,
+    which the snapshot protocol needs so ids issued after a restore do
+    not collide with ids already present in the snapshot.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, start: int = 0) -> None:
+        self.value = start
+
+    def __call__(self) -> int:
+        v = self.value
+        self.value = v + 1
+        return v
+
+
 class LivelockError(RuntimeError):
     """Raised by :class:`Watchdog` when the simulation stops resolving
     flits while work is still in flight (a livelock or deadlock), instead
@@ -301,6 +320,13 @@ class Simulator:
         self.net_rng: np.random.Generator = np.random.default_rng(
             np.random.SeedSequence(seed).spawn(1)[0])
         self.engine = engine
+        #: id allocators for messages and packets (stamped by the NIs)
+        #: and circuit connections (drawn by the connection managers).
+        #: Per simulator, so ids — and with them the state hash — are a
+        #: function of this run alone.
+        self.msg_ids = IdSource()
+        self.pkt_ids = IdSource()
+        self.conn_ids = IdSource(1)
         #: trace recorder shared by instrumented components; replaced by
         #: :meth:`repro.obs.attach.Observability.attach` on traced runs.
         #: Never part of :meth:`state_dict` (hashes must not see it).
@@ -361,11 +387,15 @@ class Simulator:
     # snapshot protocol
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict:
-        """Kernel state: the cycle counter and the full bit-generator
-        state of the global RNG (plain ints/dicts, picklable)."""
+        """Kernel state: the cycle counter, the full bit-generator state
+        of both RNG streams and the id allocators (plain ints/dicts,
+        picklable)."""
         return {"cycle": self.cycle,
                 "rng": self.rng.bit_generator.state,
-                "net_rng": self.net_rng.bit_generator.state}
+                "net_rng": self.net_rng.bit_generator.state,
+                "msg_ids": self.msg_ids.value,
+                "pkt_ids": self.pkt_ids.value,
+                "conn_ids": self.conn_ids.value}
 
     def load_state_dict(self, state: Dict) -> None:
         """Restore kernel state in place.
@@ -375,8 +405,10 @@ class Simulator:
         """
         self.cycle = int(state["cycle"])
         self.rng.bit_generator.state = state["rng"]
-        if "net_rng" in state:
-            self.net_rng.bit_generator.state = state["net_rng"]
+        self.net_rng.bit_generator.state = state["net_rng"]
+        self.msg_ids.value = int(state["msg_ids"])
+        self.pkt_ids.value = int(state["pkt_ids"])
+        self.conn_ids.value = int(state["conn_ids"])
 
     # ------------------------------------------------------------------
     # sleep management (fast engine)

@@ -1,7 +1,5 @@
 """Synthetic traffic generation and traces (S14)."""
 
-import warnings
-
 from repro.traffic.patterns import (
     PATTERN_NAMES,
     TrafficPattern,
@@ -29,19 +27,9 @@ __all__ = [
     "MessageTraceRecorder",
     "TraceEvent",
     "TraceFormatError",
-    "TraceRecorder",
     "TraceSource",
     "attach_trace_sources",
     "load_trace",
     "upgrade_trace",
 ]
 
-
-def __getattr__(name: str):
-    if name == "TraceRecorder":
-        warnings.warn(
-            "repro.traffic.TraceRecorder was renamed MessageTraceRecorder "
-            "(it shadowed the unrelated repro.obs.TraceRecorder); update "
-            "the import", DeprecationWarning, stacklevel=2)
-        return MessageTraceRecorder
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

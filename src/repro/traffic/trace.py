@@ -33,7 +33,6 @@ pass ``upgrade_legacy=True`` to load them with empty metadata instead
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.network.flit import Message, MessageClass
@@ -264,13 +263,3 @@ def attach_trace_sources(net: Network,
         sources.append(src)
     return sources
 
-
-def __getattr__(name: str):
-    if name == "TraceRecorder":
-        warnings.warn(
-            "repro.traffic.trace.TraceRecorder was renamed "
-            "MessageTraceRecorder (it shadowed the unrelated "
-            "repro.obs.TraceRecorder); update the import",
-            DeprecationWarning, stacklevel=2)
-        return MessageTraceRecorder
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,7 @@ import pytest
 from repro.config import SCHEMES, scheme_config
 from repro.harness.runner import prepare_synthetic
 from repro.network.router import PacketRouter
-from repro.sim.checkpoint import (capture_state, reset_id_counters,
-                                  restore_state)
+from repro.sim.checkpoint import capture_state, restore_state
 from repro.sim.kernel import LivelockError
 
 
@@ -38,7 +37,6 @@ def step_checked(sim, net, cycles: int) -> None:
 
 
 def _prepare(scheme, rate=0.35, seed=3, cfg=None, engine=None):
-    reset_id_counters()
     return prepare_synthetic(scheme, "uniform_random", rate, seed=seed,
                              width=4, height=4, slot_table_size=32,
                              cfg=cfg, engine=engine)

@@ -65,8 +65,8 @@ class TestReassemblyAndDelivery:
         for _ in range(4):
             m = Message(src=0, dst=3, mclass=MessageClass.DATA,
                         size_flits=5, create_cycle=0)
-            ids.append(m.id)
             net.ni(0).send(m)
+            ids.append(m.id)    # stamped when the NI accepts it
         sim.run(300)
         assert sorted(m.id for m, _ in sink.received) == sorted(ids)
 

@@ -1,14 +1,14 @@
-"""Batch engine: fast-forward exactness, layout, replicas, N-way report.
+"""Batch engine: fast-forward exactness, layout, interleaving, N-way report.
 
 The batch engine's speed comes from skipping provably quiescent
 cycles.  The hash equivalence itself is enforced scheme-by-scheme in
 ``test_engine_equivalence.py``; this file covers the machinery around
 it — the skip actually engages (otherwise the equivalence tests would
 vacuously pass on an engine that never fast-forwards), the compiled
-struct-of-arrays layout stays consistent with the object graph, the
-batched-replica mode is bit-identical to solo runs, and the N-engine
-divergence report (the generalisation away from the old two-engine
-format) localises correctly.
+struct-of-arrays layout stays consistent with the object graph,
+simulators stepped alternately in one process are bit-identical to solo
+runs, and the N-engine divergence report (the generalisation away from
+the old two-engine format) localises correctly.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ import pytest
 
 from repro.harness.runner import prepare_synthetic
 from repro.harness.verify import compare_engine_runs
-from repro.sim.batch.replica import ReplicaSet
-from repro.sim.checkpoint import capture_state, reset_id_counters, state_hash
+from repro.sim.checkpoint import capture_state, state_hash
 from repro.sim.kernel import Simulator, default_engine
 
 
 def _build(engine: str, scheme: str = "hybrid_tdm_vct", rate: float = 0.12,
            seed: int = 3, stop_cycle: int = 150):
-    reset_id_counters()
     sim, net, sources = prepare_synthetic(
         scheme, "uniform_random", rate, seed=seed, width=4, height=4,
         slot_table_size=32, engine=engine)
@@ -85,7 +83,6 @@ class TestFastForward:
         from dataclasses import replace
 
         from repro.config import FaultConfig, scheme_config
-        reset_id_counters()
         cfg = scheme_config("packet_vc4", width=3, height=3,
                             slot_table_size=32)
         cfg = replace(cfg, faults=FaultConfig(enabled=True,
@@ -143,48 +140,50 @@ class TestLayout:
 
 
 # ---------------------------------------------------------------------------
-# batched replicas
+# interleaved simulators: every simulator owns its id allocators, so
+# stepping several in one process is pure scheduling
 # ---------------------------------------------------------------------------
-class TestReplicas:
+def _interleaved_hashes(runs, cycles: int, chunk: int):
+    """Step every (sim, net) pair of *runs* alternately, *chunk* cycles
+    at a time, for *cycles* cycles each; return their final hashes."""
+    for _ in range(cycles // chunk):
+        for sim, _net in runs:
+            sim.run(chunk)
+    return [state_hash(capture_state(sim, net)) for sim, net in runs]
+
+
+class TestInterleaved:
     SEEDS = (3, 7, 11)
 
-    def _solo_hash(self, seed: int, chunks: int, chunk: int) -> str:
-        reset_id_counters()
+    @staticmethod
+    def _build(scheme: str, seed: int, stop_cycle: int):
         sim, net, sources = prepare_synthetic(
-            "hybrid_tdm_vc4", "uniform_random", 0.1, seed=seed,
-            width=4, height=4, slot_table_size=32, engine="batch")
+            scheme, "uniform_random", 0.1, seed=seed, width=4, height=4,
+            slot_table_size=32, engine="batch")
         for src in sources:
-            src.stop_cycle = 200
-        for _ in range(chunks):
-            sim.run(chunk)
-        return state_hash(capture_state(sim, net))
+            src.stop_cycle = stop_cycle
+        return sim, net
 
-    def test_replicas_bit_identical_to_solo_runs(self):
-        rs = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.1,
-                                  self.SEEDS, width=4, height=4,
-                                  slot_table_size=32, stop_cycle=200)
-        rs.run(400, chunk=50)
-        expected = [self._solo_hash(seed, chunks=8, chunk=50)
-                    for seed in self.SEEDS]
-        assert rs.hashes() == expected
-        assert rs.active_count == len(self.SEEDS)
-        assert list(rs.cycles_run) == [400] * len(self.SEEDS)
+    def test_interleaved_sims_bit_identical_to_solo_runs(self):
+        interleaved = _interleaved_hashes(
+            [self._build("hybrid_tdm_vc4", s, 200) for s in self.SEEDS],
+            cycles=400, chunk=25)
+        solo = [_interleaved_hashes([self._build("hybrid_tdm_vc4", s, 200)],
+                                    cycles=400, chunk=400)[0]
+                for s in self.SEEDS]
+        assert interleaved == solo
 
-    def test_chunk_size_does_not_change_results(self):
-        """Rotation granularity is pure scheduling: per-replica id
-        banking makes a 300-cycle run in 25-cycle slices land on the
-        same state as one uninterrupted 300-cycle slice."""
-        a = ReplicaSet.synthetic("packet_vc4", "uniform_random", 0.1,
-                                 self.SEEDS, stop_cycle=100)
-        a.run(300, chunk=25)
-        b = ReplicaSet.synthetic("packet_vc4", "uniform_random", 0.1,
-                                 self.SEEDS, stop_cycle=100)
-        b.run(300, chunk=300)
-        assert a.hashes() == b.hashes()
-
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicaSet.synthetic("packet_vc4", "uniform_random", 0.1, [])
+    def test_slice_size_does_not_change_results(self):
+        """A 300-cycle run in 25-cycle slices alternating with other
+        simulators lands on the same state as one uninterrupted
+        300-cycle run."""
+        a = _interleaved_hashes(
+            [self._build("packet_vc4", s, 100) for s in self.SEEDS],
+            cycles=300, chunk=25)
+        b = _interleaved_hashes(
+            [self._build("packet_vc4", s, 100) for s in self.SEEDS],
+            cycles=300, chunk=300)
+        assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ def test_engines_equivalent_under_load(scheme):
     assert report.checkpoints == 2
     assert report.first_divergence == -1
     assert len(set(report.final_hashes.values())) == 1
-    # back-compat accessors from the two-engine report format
-    assert report.hash_final_legacy == report.hash_final_fast
-    assert report.hash_final_legacy == report.final_hashes["batch"]
+    assert report.final_hashes["legacy"] == report.final_hashes["fast"] \
+        == report.final_hashes["batch"]
 
 
 @pytest.mark.parametrize("scheme",
@@ -51,8 +50,7 @@ def test_engine_subset_is_selectable():
     assert report.ok, report.mismatches
     assert report.engines == ("legacy", "batch")
     assert set(report.final_hashes) == {"legacy", "batch"}
-    # the fast engine wasn't run, so its back-compat accessor is empty
-    assert report.hash_final_fast == ""
+    assert "fast" not in report.final_hashes
 
 
 def test_rejects_degenerate_engine_lists():

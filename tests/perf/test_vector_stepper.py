@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 from repro.harness.runner import prepare_synthetic
 from repro.harness.verify import verify_equivalence
-from repro.sim.checkpoint import (capture_state, reset_id_counters,
-                                  restore_state, state_hash)
+from repro.sim.checkpoint import capture_state, restore_state, state_hash
 
 SCHEMES = ("packet_vc4", "hybrid_sdm_vc4", "hybrid_tdm_vc4",
            "hybrid_tdm_vct", "hybrid_tdm_hop_vc4", "hybrid_tdm_hop_vct")
@@ -48,7 +47,6 @@ def _vector_mode(mode):
 
 def _build(engine, scheme="hybrid_tdm_vct", rate=0.25, seed=7,
            stop_cycle=200):
-    reset_id_counters()
     sim, net, sources = prepare_synthetic(
         scheme, "uniform_random", rate, seed=seed, width=4, height=4,
         slot_table_size=32, engine=engine)
@@ -111,7 +109,6 @@ class TestEngagement:
 class TestProbeHysteresis:
     @staticmethod
     def _drain_tail_run():
-        reset_id_counters()
         sim, net, sources = prepare_synthetic(
             "hybrid_tdm_vct", "uniform_random", 0.05, seed=7,
             width=16, height=16, slot_table_size=32, engine="batch")

@@ -74,17 +74,30 @@ class TestCaptureRestore:
         with pytest.raises(SnapshotError):
             restore_state(sim, net, tree)
 
-    def test_id_counters_restored(self):
-        from repro.network import flit as flit_mod
+    def test_v1_tree_rejected(self):
+        """Version 1 kept the id allocators in a top-level ``ids``
+        subtree; a tree of that layout must not half-restore."""
+        sim, net, _ = _small()
+        tree = capture_state(sim, net)
+        sim_state = dict(tree["sim"])
+        ids = {k: sim_state.pop(f"{k}_ids") for k in ("msg", "pkt", "conn")}
+        v1 = {"format": 1, "sim": sim_state, "ids": ids, "net": tree["net"]}
+        with pytest.raises(SnapshotError):
+            restore_state(sim, net, v1)
 
+    def test_id_counters_restored(self):
         sim_a, net_a, _ = _small()
         sim_a.run(150)
         tree = capture_state(sim_a, net_a)
-        msg_at_snap = tree["ids"]["msg"]
-        sim_a.run(100)  # advances the module-level counters
+        msg_at_snap = tree["sim"]["msg_ids"]
+        assert msg_at_snap == sim_a.msg_ids.value > 0
+        sim_a.run(100)  # advances this simulator's allocators
+        assert sim_a.msg_ids.value > msg_at_snap
         sim_b, net_b, _ = _small()
         restore_state(sim_b, net_b, tree)
-        assert flit_mod._msg_ids.value == msg_at_snap
+        assert sim_b.msg_ids.value == msg_at_snap
+        assert sim_b.pkt_ids.value == tree["sim"]["pkt_ids"]
+        assert sim_b.conn_ids.value == tree["sim"]["conn_ids"]
 
     def test_different_seeds_hash_differently(self):
         sim_a, net_a, _ = _small(seed=1)

@@ -5,9 +5,9 @@ metadata (awake flags, compiled layouts, skip counters) is explicitly
 excluded — so a snapshot taken under any engine must restore under any
 other and continue to an identical trajectory.  These tests drive
 every ordered engine pair through snapshot → restore → re-run and
-require bit-identical hashes and stats, plus the batched-replica
-snapshot case (a replica's snapshot restores both into its set and
-into a standalone simulator).
+require bit-identical hashes and stats, plus a snapshot taken from one
+of two interleaved simulators (it restores both into its own simulator
+while the other keeps running, and into a standalone one).
 """
 
 from __future__ import annotations
@@ -17,15 +17,12 @@ import itertools
 import pytest
 
 from repro.harness.runner import prepare_synthetic
-from repro.sim.batch.replica import ReplicaSet
-from repro.sim.checkpoint import (capture_state, reset_id_counters,
-                                  restore_state, state_hash)
+from repro.sim.checkpoint import capture_state, restore_state, state_hash
 
 ENGINES = ("legacy", "fast", "batch")
 
 
 def _build(engine: str, seed: int = 5):
-    reset_id_counters()
     sim, net, sources = prepare_synthetic(
         "hybrid_tdm_vc4", "uniform_random", 0.15, seed=seed,
         width=4, height=4, slot_table_size=32, engine=engine)
@@ -67,39 +64,27 @@ def test_stats_survive_cross_engine_restore():
     assert net_b.ledger.as_dict() == net_a.ledger.as_dict()
 
 
-def test_replica_snapshot_restores_into_set_and_standalone():
-    seeds = [5, 9]
-    rs = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.15,
-                              seeds, width=4, height=4,
-                              slot_table_size=32, stop_cycle=250)
-    rs.run(200, chunk=100)
-    snap = rs.snapshot(1)
-    rs.run(200, chunk=100)
-    h_final = rs.hashes()[1]
+def test_interleaved_snapshot_restores_in_place_and_standalone():
+    def run_both(pairs, cycles):
+        for _ in range(cycles // 100):
+            for sim, _net in pairs:
+                sim.run(100)
 
-    # restore back into the original set and re-run: same end state
-    # (replica 0 keeps advancing past its sibling — the banked id
-    # allocators keep them independent)
-    rs.restore(1, snap)
-    rs.run(200, chunk=100)
-    assert rs.hashes()[1] == h_final
+    pairs = [_build("batch", seed=5), _build("batch", seed=9)]
+    run_both(pairs, 200)
+    sim, net = pairs[1]
+    snap = capture_state(sim, net)
+    run_both(pairs, 200)
+    h_final = state_hash(capture_state(sim, net))
 
-    # into a fresh single-replica set
-    rs2 = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.15,
-                               [seeds[1]], width=4, height=4,
-                               slot_table_size=32, stop_cycle=250)
-    rs2.restore(0, snap)
-    rs2.run(200, chunk=100)
-    assert rs2.hashes()[0] == h_final
+    # restore back into the same simulator and re-run while its sibling
+    # keeps advancing past it: same end state
+    restore_state(sim, net, snap)
+    run_both(pairs, 200)
+    assert state_hash(capture_state(sim, net)) == h_final
 
     # and into a standalone simulator under a different engine
-    reset_id_counters()
-    sim, net, sources = prepare_synthetic(
-        "hybrid_tdm_vc4", "uniform_random", 0.15, seed=seeds[1],
-        width=4, height=4, slot_table_size=32, engine="legacy")
-    for src in sources:
-        src.stop_cycle = 250
-    restore_state(sim, net, snap)
-    for _ in range(2):
-        sim.run(100)
-    assert state_hash(capture_state(sim, net)) == h_final
+    sim_b, net_b = _build("legacy", seed=9)
+    restore_state(sim_b, net_b, snap)
+    sim_b.run(200)
+    assert state_hash(capture_state(sim_b, net_b)) == h_final

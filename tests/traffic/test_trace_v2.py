@@ -153,12 +153,3 @@ class TestTraceSourceStamping:
         assert clone._next == 2 and clone.messages_received == 4
         assert not clone.exhausted
 
-
-class TestDeprecatedAlias:
-    def test_trace_recorder_alias_warns(self):
-        import repro.traffic as traffic
-        import repro.traffic.trace as trace_mod
-        for mod in (traffic, trace_mod):
-            with pytest.warns(DeprecationWarning, match="MessageTrace"):
-                cls = mod.TraceRecorder
-            assert cls is MessageTraceRecorder
