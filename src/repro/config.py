@@ -334,6 +334,11 @@ class NetworkConfig:
             raise ValueError("mesh must be at least 2x2")
         if self.switching not in ("packet", "tdm", "sdm"):
             raise ValueError(f"unknown switching mode {self.switching!r}")
+        if self.switching == "sdm" and self.vc_gating.enabled:
+            # the SDM router's planes*num_vcs data VCs have no gating
+            # model: the controller would read zero utilisation and gate
+            # every router down while its planes carry traffic
+            raise ValueError("VC gating is not supported with SDM switching")
 
     # ------------------------------------------------------------------
     @property

@@ -21,7 +21,8 @@ model) on a dedicated escape VC for configuration packets.
 The router exposes the extension points the TDM hybrid router overrides:
 ``_demux_arrival`` (slot-table demultiplexer), ``_out_blocked_for_ps``
 (reserved-slot / time-slot-stealing check) and ``_compute_route``
-(configuration-message processing).
+(configuration-message processing); the SDM router overrides
+``_allocate_out_vc`` (plane-restricted VC allocation).
 """
 
 from __future__ import annotations
@@ -313,9 +314,7 @@ class PacketRouter(SimObject):
         for inport in range(NUM_PORTS):
             if not port_buffered[inport]:
                 continue
-            port = in_ports[inport]
-            config_idx = port.config_vc_index
-            for invc, vcobj in enumerate(port.vcs):
+            for invc, vcobj in enumerate(in_ports[inport].vcs):
                 fifo = vcobj.fifo
                 if vcobj.out_vc is not None or not fifo:
                     continue
@@ -346,9 +345,7 @@ class PacketRouter(SimObject):
                     if self.obs.enabled:
                         self.obs.flit_route(cycle, self._obs_track,
                                             head.packet.id, out)
-                ovc = self._allocate_out_vc(
-                    vcobj.route_outport, invc == config_idx
-                )
+                ovc = self._allocate_out_vc(vcobj.route_outport, invc)
                 if ovc is not None:
                     vcobj.out_vc = ovc
                     self.out_vc_owner[vcobj.route_outport][ovc] = (inport, invc)
@@ -429,10 +426,13 @@ class PacketRouter(SimObject):
         ds = self.downstream[outport]
         return ds.active_vcs if ds is not None else self.rcfg.num_vcs
 
-    def _allocate_out_vc(self, outport: int, is_config: bool) -> Optional[int]:
+    def _allocate_out_vc(self, outport: int, invc: int) -> Optional[int]:
+        """Hook: the downstream VC input VC *invc* may claim at *outport*
+        (the config escape VC maps to itself; the SDM router restricts
+        data VCs to their plane)."""
         owners = self.out_vc_owner[outport]
-        if is_config:
-            ovc = self.config_vc
+        ovc = self.config_vc
+        if invc == ovc:
             return ovc if owners[ovc] is None else None
         limit = self._downstream_active_vcs(outport)
         for ovc in range(limit):

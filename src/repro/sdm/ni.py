@@ -97,7 +97,8 @@ class SDMNetworkInterface(NetworkInterface):
         self._cs_outstanding -= 1
         token["pending"].remove(flit)
         self.ledger.injected += 1
-        self.counters.inc("flit_injected")
+        counts = self.counters._counts
+        counts["flit_injected"] = counts.get("flit_injected", 0) + 1
 
     def _cs_flit_failed(self, flit: Flit, token: dict) -> None:
         pending: Deque[Flit] = token["pending"]
@@ -113,6 +114,7 @@ class SDMNetworkInterface(NetworkInterface):
     # per-plane injection pump
     # ------------------------------------------------------------------
     def _pump_injection(self, cycle: int) -> None:
+        vc_in_use = self.vc_in_use
         # allocate a VC (and thereby a plane) for the head packet
         if self.ps_queue:
             head_pkt, prebuilt = self.ps_queue[0]
@@ -125,51 +127,61 @@ class SDMNetworkInterface(NetworkInterface):
                     head_pkt.plane = self._plane_of(vc)
                 for f in flits:
                     f.vc = vc
-                self.vc_in_use[vc] = flits
+                vc_in_use[vc] = flits
                 if head_pkt.inject_cycle is None:
                     head_pkt.inject_cycle = cycle
+        elif vc_in_use.count(None) == len(vc_in_use):
+            return  # nothing queued, nothing streaming
         # stream one flit per plane per cycle (+ one config flit)
+        v = self.cfg.router.num_vcs
+        local_credits = self.local_credits
+        counts = self.counters._counts
         sent_plane = [False] * self.planes
         sent_config = False
         for vc in range(self.total_vcs):
-            stream = self.vc_in_use[vc]
-            if stream is None or self.local_credits[vc] <= 0:
+            stream = vc_in_use[vc]
+            if stream is None or local_credits[vc] <= 0:
                 continue
             if vc == self.config_vc:
                 if sent_config:
                     continue
                 sent_config = True
             else:
-                plane = self._plane_of(vc)
+                plane = vc // v
                 if sent_plane[plane]:
                     continue
                 sent_plane[plane] = True
             flit = stream.popleft()
-            self.local_credits[vc] -= 1
+            local_credits[vc] -= 1
             self.inject_link.send(flit, cycle)
             self.ledger.injected += 1
-            self.counters.inc("flit_injected")
+            counts["flit_injected"] = counts.get("flit_injected", 0) + 1
             if not stream:
-                self.vc_in_use[vc] = None
+                vc_in_use[vc] = None
 
     def _plane_of(self, vc: int) -> int:
         return vc // self.cfg.router.num_vcs
 
     def _allocate_injection_vc(self, pkt: Packet) -> Optional[int]:
+        vc_in_use = self.vc_in_use
         if pkt.mclass == MessageClass.CONFIG:
             vc = self.config_vc
-            return vc if self.vc_in_use[vc] is None else None
-        # least-loaded plane with a free VC
+            return vc if vc_in_use[vc] is None else None
+        # least-loaded plane with a free VC (its lowest free VC)
         v = self.cfg.router.num_vcs
         best_vc, best_load = None, None
-        for plane in range(self.planes):
-            base = plane * v
-            free = next((base + i for i in range(v)
-                         if self.vc_in_use[base + i] is None), None)
+        for base in range(0, self.planes * v, v):
+            free = None
+            load = 0
+            for vc in range(base, base + v):
+                stream = vc_in_use[vc]
+                if stream is None:
+                    if free is None:
+                        free = vc
+                else:
+                    load += len(stream)
             if free is None:
                 continue
-            load = sum(len(self.vc_in_use[base + i])
-                       for i in range(v) if self.vc_in_use[base + i])
             if best_load is None or load < best_load:
                 best_vc, best_load = free, load
         return best_vc

@@ -23,8 +23,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.config import CACHE_LINE_BYTES, NetworkConfig
 from repro.network.buffers import InputPort
-from repro.network.flit import ConfigType, Flit, MessageClass
+from repro.network.flit import ConfigType, Flit, FlitKind, MessageClass
 from repro.network.router import EJECT_CREDITS, PacketRouter
+from repro.network.routing import xy_outport
 from repro.network.topology import LOCAL, Mesh, NUM_PORTS
 
 
@@ -42,7 +43,14 @@ def sdm_packet_size(cfg: NetworkConfig, kind: str) -> int:
 
 
 class SDMRouter(PacketRouter):
-    """Plane-partitioned hybrid router."""
+    """Plane-partitioned hybrid router.
+
+    Overrides only what the planes change: plane-restricted
+    :meth:`_allocate_out_vc`, the plane-parallel :meth:`_sa_st` (which
+    owns the packet traversal) and the circuit datapath with its
+    dirty-flag crossbar reset.  Route compute, VC allocation scanning,
+    buffer writes and delivery are the packet router's.
+    """
 
     def __init__(self, node: int, cfg: NetworkConfig, mesh: Mesh) -> None:
         self.planes = cfg.sdm.planes
@@ -70,10 +78,16 @@ class SDMRouter(PacketRouter):
             [False] * self.planes for _ in range(NUM_PORTS)]
         self._cs_out_used: List[List[bool]] = [
             [False] * self.planes for _ in range(NUM_PORTS)]
+        #: True while any plane-usage flag is set — lets transfer skip
+        #: the reset on circuit-free cycles (derived from the flag rows,
+        #: recomputed on restore, never snapshot state)
+        self._cs_flags_dirty = False
+        self._no_planes_used = [False] * self.planes
+        #: reusable per-(inport, plane) crossbar-input scratch for _sa_st
+        self._used_in_scratch = [[False] * self.planes
+                                 for _ in range(NUM_PORTS)]
         self._cs_inject: Dict[int, List] = {}
         self.on_setup_rejected: Optional[Callable] = None
-        # transient (rebuilt on restore): per-outport owned-VC counts
-        self._owned_out = [0] * NUM_PORTS
 
     # ------------------------------------------------------------------
     def connect_output(self, outport, link, credit_from, downstream,
@@ -94,63 +108,91 @@ class SDMRouter(PacketRouter):
     # phases
     # ------------------------------------------------------------------
     def transfer(self, cycle: int) -> None:
-        for p in range(NUM_PORTS):
-            for pl in range(self.planes):
-                self._cs_in_used[p][pl] = False
-                self._cs_out_used[p][pl] = False
-        self._process_arrivals(cycle)
-        self._process_cs_injections(cycle)
+        cs_in = self._cs_in_used
+        cs_out = self._cs_out_used
+        if self._cs_flags_dirty:
+            clear = self._no_planes_used
+            for i in range(NUM_PORTS):
+                cs_in[i][:] = clear
+                cs_out[i][:] = clear
+            self._cs_flags_dirty = False
+        # arrival demux: a circuit flit on a reserved plane goes straight
+        # to the output link pipe (a fused copy of _cs_traverse); orphans
+        # and packet-switched flits take the method paths
+        arrivals = self._arrivals
+        for inport in range(NUM_PORTS):
+            staged = arrivals[inport]
+            if not staged:
+                continue
+            for flit in staged:
+                if not flit.is_circuit:
+                    self._buffer_write(inport, flit, cycle)
+                    continue
+                plane = flit.packet.plane
+                outport = self.cs_route[inport][plane]
+                if outport < 0:
+                    self._cs_orphan(inport, plane, flit, cycle)
+                    continue
+                cs_in[inport][plane] = True
+                cs_out[outport][plane] = True
+                self._cs_flags_dirty = True
+                counts = self.counters._counts
+                counts["cs_xbar"] = counts.get("cs_xbar", 0) + 1
+                counts["cs_latch"] = counts.get("cs_latch", 0) + 1
+                if outport != LOCAL:
+                    counts["link_narrow"] = counts.get("link_narrow", 0) + 1
+                flit.packet.hops_taken += 1
+                ol = self.out_links[outport]
+                if ol.faulty:
+                    ol.send(flit, cycle)    # slow path keeps drop accounting
+                else:
+                    ol._pipe.append((cycle + ol.latency, flit))
+                    ol.flits_carried += 1
+                    ws = ol.wake_sink
+                    if ws is not None and not ws._sim_awake:
+                        ws.sim_wake()
+            staged.clear()
+        if self._cs_inject:
+            self._process_cs_injections(cycle)
         if self._buffered_flits:
             self._route_and_va(cycle)
             self._sa_st(cycle)
-        if self.gating is not None:
-            self._sample_utilisation()
 
     def sim_idle(self, cycle: int) -> bool:
         """Idle iff the packet pipeline is idle and no circuit activity is
         pending.  The plane-usage flags are reset at the *start* of the
         next :meth:`transfer`, so a router that carried circuit traffic
         this cycle stays awake one extra cycle to run that reset."""
-        if self._cs_inject:
+        if self._cs_inject or self._cs_flags_dirty:
             return False
-        for row in self._cs_in_used:
-            if True in row:
-                return False
-        for row in self._cs_out_used:
-            if True in row:
-                return False
         return PacketRouter.sim_idle(self, cycle)
 
     # ------------------------------------------------------------------
     # circuit datapath
     # ------------------------------------------------------------------
-    def _demux_arrival(self, inport: int, flit: Flit, cycle: int) -> None:
-        if not flit.is_circuit:
-            self._buffer_write(inport, flit, cycle)
-            return
-        plane = flit.packet.plane
-        outport = self.cs_route[inport][plane]
-        if outport < 0:
-            # reservation vanished (teardown race): eject for hop-off
-            self.counters.inc("cs_orphan")
-            if self.obs.enabled:
-                self.obs.cs_orphan(cycle, self._obs_track,
-                                   flit.packet.id, "orphan")
-            flit.is_circuit = False
-            flit.packet.circuit = False
-            self._cs_traverse(inport, LOCAL, plane, flit, cycle, orphan=True)
-            return
-        self._cs_traverse(inport, outport, plane, flit, cycle)
+    def _cs_orphan(self, inport: int, plane: int, flit: Flit,
+                   cycle: int) -> None:
+        """The circuit flit's plane reservation vanished (teardown race):
+        eject it here for hop-off through the packet-switched network."""
+        self.counters.inc("cs_orphan")
+        if self.obs.enabled:
+            self.obs.cs_orphan(cycle, self._obs_track,
+                               flit.packet.id, "orphan")
+        flit.is_circuit = False
+        flit.packet.circuit = False
+        self._cs_traverse(inport, LOCAL, plane, flit, cycle, orphan=True)
 
     def _cs_traverse(self, inport: int, outport: int, plane: int,
                      flit: Flit, cycle: int, orphan: bool = False) -> None:
         self._cs_in_used[inport][plane] = True
         if not orphan:
             self._cs_out_used[outport][plane] = True
-        self.counters.inc("cs_xbar")
-        self.counters.inc("cs_latch")
+        self._cs_flags_dirty = True
+        counts = self.counters._counts
+        counts["cs_xbar"] = counts.get("cs_xbar", 0) + 1
+        counts["cs_latch"] = counts.get("cs_latch", 0) + 1
         if outport != LOCAL:
-            self.counters.inc("link_narrow")
+            counts["link_narrow"] = counts.get("link_narrow", 0) + 1
         flit.packet.hops_taken += 1
         self.out_links[outport].send(flit, cycle)
 
@@ -201,6 +243,8 @@ class SDMRouter(PacketRouter):
         self.plane_owner = [list(row) for row in state["plane_owner"]]
         self._cs_in_used = [list(row) for row in state["cs_in_used"]]
         self._cs_out_used = [list(row) for row in state["cs_out_used"]]
+        self._cs_flags_dirty = any(
+            True in row for row in self._cs_in_used + self._cs_out_used)
         self._cs_inject_raw = state["cs_inject"]
         self._cs_inject = {}
 
@@ -217,144 +261,134 @@ class SDMRouter(PacketRouter):
     # ------------------------------------------------------------------
     # plane-aware VC allocation
     # ------------------------------------------------------------------
-    def _allocate_out_vc(self, outport: int, is_config: bool,
-                         plane: int = 0) -> Optional[int]:
+    def _allocate_out_vc(self, outport: int, invc: int) -> Optional[int]:
+        """A data packet keeps its input VC's plane on every hop."""
         owners = self.out_vc_owner[outport]
-        if is_config:
-            ovc = self.config_vc
+        ovc = self.config_vc
+        if invc == ovc:
             return ovc if owners[ovc] is None else None
         v = self.rcfg.num_vcs
-        base = plane * v
+        base = invc - invc % v
         for ovc in range(base, base + v):
             if owners[ovc] is None:
                 return ovc
         return None
 
-    def _route_and_va(self, cycle: int) -> None:
-        for inport in range(NUM_PORTS):
-            port = self.in_ports[inport]
-            for invc, vcobj in enumerate(port.vcs):
-                if vcobj.out_vc is not None or not vcobj.fifo:
-                    continue
-                head = vcobj.fifo[0]
-                if not head.is_head or cycle < head.ready_cycle:
-                    continue
-                if vcobj.route_outport is None:
-                    out = self._compute_route(inport, head, cycle)
-                    if out is None:
-                        vcobj.pop()
-                        if not vcobj.fifo:
-                            self._busy_by_vc[invc] -= 1
-                        self._buffered_flits -= 1
-                        self._port_buffered[inport] -= 1
-                        self._return_credit(inport, invc, cycle)
-                        if head.packet.dropped:
-                            self.ledger.drop("packet_killed")
-                            self._drain_dropped(vcobj, head.packet,
-                                                inport, invc, cycle)
-                        else:
-                            self.ledger.consumed += 1
-                        continue
-                    vcobj.route_outport = out
-                is_config = invc == port.config_vc_index
-                plane = 0 if is_config else self.plane_of_vc(invc)
-                ovc = self._allocate_out_vc(vcobj.route_outport, is_config,
-                                            plane)
-                if ovc is not None:
-                    vcobj.out_vc = ovc
-                    self.out_vc_owner[vcobj.route_outport][ovc] = (inport, invc)
-                    self._owned_out[vcobj.route_outport] += 1
-                    self.counters.inc("vc_arb")
-
     # ------------------------------------------------------------------
-    # plane-parallel switch allocation
+    # plane-parallel switch allocation + traversal
     # ------------------------------------------------------------------
     def _sa_st(self, cycle: int) -> None:
+        """Per outport, one grant on the config escape slice (first) and
+        one per plane the circuits left idle this cycle; the input-side
+        constraint is per (inport, plane).  Plane arbitration is a
+        single-pass round-robin (every (inport, invc) owns at most one
+        output VC, so the rotated-distance minimum is unique); the
+        pointer advances only on a multi-way grant.  PS stealing of idle
+        circuit planes is implicit: a plane is skipped only when a
+        circuit flit actually used it this cycle."""
         owned = self._owned_out
+        out_links = self.out_links
+        cs_out = self._cs_out_used
+        in_ports = self.in_ports
+        planes = self.planes
+        v = self.rcfg.num_vcs
+        total_vcs = self.total_vcs
+        config_vc = self.config_vc
+        sa_ptr = self._sa_ptr
+        mod = NUM_PORTS * total_vcs
+        counts = self.counters._counts
         used_in = None
-        # config escape slice: one grant per outport per cycle
         for outport in range(NUM_PORTS):
-            if not owned[outport] or self.out_links[outport] is None:
+            if not owned[outport] or out_links[outport] is None:
                 continue
             if used_in is None:
-                used_in = [row[:] for row in self._cs_in_used]
-            self._sa_config(outport, cycle)
-            for plane in range(self.planes):
-                if self._cs_out_used[outport][plane]:
-                    continue
-                winner = self._sa_pick_plane(outport, plane, used_in, cycle)
-                if winner is None:
-                    continue
-                inport, invc, ovc = winner
-                used_in[inport][plane] = True
-                self._traverse(outport, inport, invc, ovc, cycle)
-
-    def _sa_config(self, outport: int, cycle: int) -> None:
-        ovc = self.config_vc
-        owner = self.out_vc_owner[outport][ovc]
-        if owner is None or self.credits[outport][ovc] <= 0:
-            return
-        inport, invc = owner
-        vcobj = self.in_ports[inport].vcs[invc]
-        flit = vcobj.front()
-        if flit is None or cycle < flit.ready_cycle:
-            return
-        self.counters.inc("sw_arb")
-        self._traverse(outport, inport, invc, ovc, cycle)
-
-    def _sa_pick_plane(self, outport: int, plane: int, used_in, cycle: int):
-        v = self.rcfg.num_vcs
-        base = plane * v
-        owners = self.out_vc_owner[outport]
-        credits = self.credits[outport]
-        candidates = []
-        for ovc in range(base, base + v):
-            owner = owners[ovc]
-            if owner is None or credits[ovc] <= 0:
-                continue
-            inport, invc = owner
-            if used_in[inport][plane]:
-                continue
-            vcobj = self.in_ports[inport].vcs[invc]
-            flit = vcobj.front()
-            if flit is None or cycle < flit.ready_cycle:
-                continue
-            candidates.append((inport, invc, ovc))
-        if not candidates:
-            return None
-        self.counters.inc("sw_arb")
-        if len(candidates) == 1:
-            return candidates[0]
-        key_idx = outport * self.planes + plane
-        ptr = self._sa_ptr[key_idx]
-        n = NUM_PORTS * self.total_vcs
-        winner = min(candidates,
-                     key=lambda c: (c[0] * self.total_vcs + c[1] - ptr) % n)
-        self._sa_ptr[key_idx] = winner[0] * self.total_vcs + winner[1] + 1
-        return winner
-
-    def _traverse(self, outport: int, inport: int, invc: int, ovc: int,
-                  cycle: int) -> None:
-        # narrow-flit link accounting (1/planes of a full-width traversal)
-        vcobj = self.in_ports[inport].vcs[invc]
-        flit = vcobj.pop()
-        self._buffered_flits -= 1
-        self._port_buffered[inport] -= 1
-        self.counters.inc("buffer_read")
-        self.counters.inc("xbar")
-        self._return_credit(inport, invc, cycle)
-        flit.vc = ovc
-        if outport != LOCAL:
-            self.credits[outport][ovc] -= 1
-            self.counters.inc("link_narrow")
-        flit.packet.hops_taken += 1
-        if flit.is_tail:
-            self.out_vc_owner[outport][ovc] = None
-            self._owned_out[outport] -= 1
-            vcobj.clear_route()
-            if not vcobj.fifo:
-                self._busy_by_vc[invc] -= 1
-        self.out_links[outport].send(flit, cycle)
+                used_in = self._used_in_scratch
+                cs_in = self._cs_in_used
+                for i in range(NUM_PORTS):
+                    used_in[i][:] = cs_in[i]
+            owners = self.out_vc_owner[outport]
+            credits = self.credits[outport]
+            out_cs = cs_out[outport]
+            for plane in range(-1, planes):
+                if plane < 0:
+                    # config escape slice: its owner, if ready, wins
+                    ovc = config_vc
+                    owner = owners[ovc]
+                    if owner is None or credits[ovc] <= 0:
+                        continue
+                    inport, invc = owner
+                    vfifo = in_ports[inport].vcs[invc].fifo
+                    if not vfifo or cycle < vfifo[0].ready_cycle:
+                        continue
+                    counts["sw_arb"] = counts.get("sw_arb", 0) + 1
+                else:
+                    if out_cs[plane]:
+                        continue
+                    key_idx = outport * planes + plane
+                    ptr = sa_ptr[key_idx]
+                    winner = None
+                    winner_key = mod
+                    n_candidates = 0
+                    base = plane * v
+                    for ovc in range(base, base + v):
+                        owner = owners[ovc]
+                        if owner is None or credits[ovc] <= 0:
+                            continue
+                        inport, invc = owner
+                        if used_in[inport][plane]:
+                            continue
+                        vfifo = in_ports[inport].vcs[invc].fifo
+                        if not vfifo or cycle < vfifo[0].ready_cycle:
+                            continue
+                        n_candidates += 1
+                        key = (inport * total_vcs + invc - ptr) % mod
+                        if key < winner_key:
+                            winner_key = key
+                            winner = owner
+                            winner_ovc = ovc
+                    if winner is None:
+                        continue
+                    counts["sw_arb"] = counts.get("sw_arb", 0) + 1
+                    inport, invc = winner
+                    ovc = winner_ovc
+                    if n_candidates > 1:
+                        sa_ptr[key_idx] = inport * total_vcs + invc + 1
+                    used_in[inport][plane] = True
+                # switch traversal of the granted narrow flit
+                vcobj = in_ports[inport].vcs[invc]
+                flit = vcobj.fifo.popleft()
+                self._buffered_flits -= 1
+                self._port_buffered[inport] -= 1
+                counts["buffer_read"] = counts.get("buffer_read", 0) + 1
+                counts["xbar"] = counts.get("xbar", 0) + 1
+                clink = self.credit_out[inport]
+                if clink is not None:
+                    clink._pipe.append((cycle + clink.latency, invc))
+                    ws = clink.wake_sink
+                    if ws is not None and not ws._sim_awake:
+                        ws.sim_wake()
+                flit.vc = ovc
+                if outport != LOCAL:
+                    credits[ovc] -= 1
+                    counts["link_narrow"] = counts.get("link_narrow", 0) + 1
+                flit.packet.hops_taken += 1
+                kind = flit.kind
+                if kind is FlitKind.TAIL or kind is FlitKind.HEAD_TAIL:
+                    owners[ovc] = None
+                    owned[outport] -= 1
+                    vcobj.route_outport = None
+                    vcobj.out_vc = None
+                    if not vcobj.fifo:
+                        self._busy_by_vc[invc] -= 1
+                ol = out_links[outport]
+                if ol.faulty:
+                    ol.send(flit, cycle)    # slow path keeps drop accounting
+                else:
+                    ol._pipe.append((cycle + ol.latency, flit))
+                    ol.flits_carried += 1
+                    ws = ol.wake_sink
+                    if ws is not None and not ws._sim_awake:
+                        ws.sim_wake()
 
     # ------------------------------------------------------------------
     # configuration processing: plane reservation
@@ -377,8 +411,10 @@ class SDMRouter(PacketRouter):
         if pkt.dst == self.node:
             outport = LOCAL
         else:
-            from repro.network.routing import xy_outport
-            outport = xy_outport(self.mesh, self.node, pkt.dst)
+            outport = self._xy_cache[pkt.dst]
+            if outport is None:
+                outport = self._xy_cache[pkt.dst] = xy_outport(
+                    self.mesh, self.node, pkt.dst)
         free = (self.cs_route[inport][plane] < 0
                 and self.plane_owner[outport][plane] < 0)
         if free:
@@ -389,7 +425,7 @@ class SDMRouter(PacketRouter):
                 self.obs.cs_setup(cycle, self._obs_track,
                                   payload.conn_id, "reserve",
                                   plane=plane, outport=outport)
-            return LOCAL if outport == LOCAL else outport
+            return outport
         self.counters.inc("setup_rejected")
         if self.obs.enabled:
             self.obs.cs_setup(cycle, self._obs_track,
@@ -414,14 +450,6 @@ class SDMRouter(PacketRouter):
         if outport == LOCAL:
             return None
         return outport
-
-    # ------------------------------------------------------------------
-    # PS stealing of idle circuit planes is implicit: `_sa_pick_plane`
-    # only skips a plane when a circuit flit actually used it this cycle.
-    # ------------------------------------------------------------------
-
-    def _sample_utilisation(self) -> None:  # pragma: no cover - SDM has no
-        pass                                # VC gating in the paper's eval
 
 
 class _PlanedInputPort(InputPort):
