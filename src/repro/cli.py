@@ -31,13 +31,7 @@ Commands
 ``chaos``     chaos-test the sweep fabric: run a real supervised sweep
               under injected SIGKILLs, supervisor loss, file corruption
               and disk-full errors, then assert the result is identical
-              to an undisturbed serial run (``--service`` runs the
-              campaign against the job service instead, SIGKILLing the
-              whole server between polls)
-``serve``     run the simulation-as-a-service job server (stdlib HTTP)
-``submit``    submit a sweep job to a running server
-``jobs``      list jobs / show one job (``--wait``, ``--verify``)
-``cancel``    cancel a job (idempotent at every stage)
+              to an undisturbed serial run
 
 Exit codes (uniform across commands)
 ------------------------------------
@@ -45,11 +39,11 @@ Exit codes (uniform across commands)
 ==== ======================================================
 0    success
 1    the command ran but the work failed (failed points,
-     chaos mismatch, benchmark regression, job failed)
-2    configuration error: bad flags, invalid sweep/job spec,
+     chaos mismatch, benchmark regression)
+2    configuration error: bad flags, invalid sweep spec,
      unresumable run directory (``SweepConfigError``)
-3    transient/infrastructure error: server unreachable,
-     connection refused, backpressure that outlasted retries
+3    transient/infrastructure error: connection refused, timeout,
+     OS-level I/O failure
 130  interrupted (SIGINT)
 ==== ======================================================
 
@@ -78,6 +72,7 @@ from repro.core.decision import DECISION_POLICIES
 from repro.harness import experiments as experiments_mod
 from repro.harness.report import format_table, write_csv
 from repro.harness.runner import load_latency_sweep, run_synthetic
+from repro.traffic.patterns import PATTERN_NAMES
 
 #: uniform exit codes (see module docstring / README)
 EXIT_FAILURE = 1
@@ -173,6 +168,17 @@ def cmd_trace(args) -> int:
 def cmd_sweep(args) -> int:
     rates = [float(r) for r in args.rates.split(",")]
     schemes = args.schemes.split(",")
+    # a bad spec is a configuration error in every mode, caught before
+    # anything runs (a supervised worker would only crash on it)
+    if args.pattern not in PATTERN_NAMES:
+        print(f"unknown pattern {args.pattern!r}; expected one of "
+              f"{list(PATTERN_NAMES)}", file=sys.stderr)
+        return EXIT_CONFIG
+    bad = [s for s in schemes if s not in SCHEMES]
+    if bad:
+        print(f"unknown scheme(s) {bad}; expected {list(SCHEMES)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if args.dry_run:
         return _dry_run_sweep(args, schemes, rates)
     if args.supervised:
@@ -238,8 +244,8 @@ def _print_sweep_summary(summary) -> None:
 def _dry_run_sweep(args, schemes, rates) -> int:
     """Validate and print the resolved sweep without running anything.
 
-    Everything a real invocation would reject — unknown schemes or
-    pattern, an inconsistent supervisor config — is rejected here too
+    Everything a real invocation would reject — an inconsistent
+    supervisor config, a missing run directory — is rejected here too
     (exit 2); a clean dry run prints every resolved point with its
     spec hash plus the sweep config hash, and exits 0.
     """
@@ -247,17 +253,7 @@ def _dry_run_sweep(args, schemes, rates) -> int:
     from repro.harness.supervisor import (build_sweep_points,
                                           point_spec_hash,
                                           sweep_config_hash)
-    from repro.service.jobs import PATTERNS
 
-    bad = [s for s in schemes if s not in SCHEMES]
-    if bad:
-        print(f"unknown scheme(s) {bad}; expected {list(SCHEMES)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if args.pattern not in PATTERNS:
-        print(f"unknown pattern {args.pattern!r}; expected one of "
-              f"{list(PATTERNS)}", file=sys.stderr)
-        return EXIT_CONFIG
     if args.supervised:
         sup = _supervisor_config(args)      # validates; may exit 2
         if sup is None:
@@ -342,8 +338,6 @@ def cmd_resume(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    if args.service:
-        return _service_chaos(args)
     from repro.harness.chaos import ChaosConfig, run_chaos
 
     cfg = ChaosConfig(points=args.points, kill_rate=args.kill_rate,
@@ -367,169 +361,6 @@ def cmd_chaos(args) -> int:
         print(f"  {problem}")
     print(f"report: {report['report_path']}")
     return 1
-
-
-def _service_chaos(args) -> int:
-    from repro.harness.chaos import ServiceChaosConfig, run_service_chaos
-
-    cfg = ServiceChaosConfig(
-        points=args.points, server_kill_rate=args.server_kill_rate,
-        kills=args.server_kills, seed=args.seed,
-        timeout_s=args.service_timeout)
-    report = run_service_chaos(cfg, args.run_dir, progress=print)
-    print(f"\n{report['server_kills']} server kill(s), "
-          f"{report['jobs']} job(s) over {report['elapsed_s']}s")
-    if report["ok"]:
-        print("SERVICE CHAOS PASS: every accepted job terminal exactly "
-              "once, checksum-clean, identical to the serial reference")
-        print(f"report: {report['report_path']}")
-        return 0
-    print("SERVICE CHAOS FAIL:")
-    for problem in report["problems"]:
-        print(f"  {problem}")
-    print(f"report: {report['report_path']}")
-    return 1
-
-
-# ---------------------------------------------------------------------------
-# service commands
-# ---------------------------------------------------------------------------
-def _service_config(args):
-    from repro.service import ServiceConfig
-    return ServiceConfig(
-        data_dir=args.data_dir, slots=args.slots,
-        sweep_jobs=args.sweep_jobs,
-        max_queue_depth=args.max_queue_depth,
-        tenant_quota=args.tenant_quota,
-        max_points_per_job=args.max_points,
-        drain_timeout_s=args.drain_timeout,
-        point_timeout_s=args.timeout, max_retries=args.retries,
-        lease_ttl_s=args.lease_ttl,
-        heartbeat_interval_s=args.heartbeat_interval)
-
-
-def cmd_serve(args) -> int:
-    from repro.obs.metrics import MetricsRegistry
-    from repro.service.http import serve
-
-    try:
-        cfg = _service_config(args)
-    except ValueError as exc:
-        print(f"invalid service config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    def ready(bound) -> None:
-        print(f"serving on http://{bound[0]}:{bound[1]} "
-              f"(data dir {cfg.data_dir}); SIGTERM drains", flush=True)
-
-    return serve(cfg, host=args.host, port=args.port,
-                 metrics=MetricsRegistry(), ready=ready)
-
-
-def _service_url(args) -> str:
-    if getattr(args, "url", None):
-        return args.url
-    from repro.service.client import discover
-    url = discover(args.data_dir)
-    if url is None:
-        raise ConnectionError(
-            f"no service endpoint advertised under {args.data_dir!r}; "
-            f"is the server running?  (pass --url to target it directly)")
-    return url
-
-
-def _print_job(job, as_json: bool) -> None:
-    import json as json_mod
-    if as_json:
-        print(json_mod.dumps(job, indent=2, sort_keys=True))
-        return
-    progress = job.get("progress") or {}
-    print(f"{job['id']}  {job['state']:<18} {job['qos']:<12} "
-          f"tenant={job['tenant']} "
-          f"points={progress.get('completed', 0)}"
-          f"/{progress.get('total', '?')}"
-          + (f" error={job['error']}" if job.get("error") else ""))
-
-
-def cmd_submit(args) -> int:
-    from repro.service.client import ServiceClient
-
-    if args.cpu_benchmarks or args.gpu_benchmarks:
-        if not (args.cpu_benchmarks and args.gpu_benchmarks):
-            print("error: --cpu-benchmarks and --gpu-benchmarks must be "
-                  "given together", file=sys.stderr)
-            return EXIT_CONFIG
-        sweep = {
-            "schemes": args.schemes.split(","),
-            "cpu_benchmarks": args.cpu_benchmarks.split(","),
-            "gpu_benchmarks": args.gpu_benchmarks.split(","),
-            "seed": args.seed,
-            "width": args.width, "height": args.height,
-            "warmup": args.warmup, "measure": args.measure,
-        }
-        if args.phased:
-            sweep["phased"] = True
-    else:
-        sweep = {
-            "schemes": args.schemes.split(","),
-            "pattern": args.pattern,
-            "rates": [float(r) for r in args.rates.split(",")],
-            "seed": args.seed,
-            "width": args.width, "height": args.height,
-            "slot_table_size": args.slot_table_size,
-            "warmup": args.warmup, "measure": args.measure,
-        }
-    body = {"tenant": args.tenant, "qos": args.qos, "sweep": sweep}
-    if args.deadline is not None:
-        body["deadline_s"] = args.deadline
-    if args.idempotency_key:
-        body["idempotency_key"] = args.idempotency_key
-    client = ServiceClient(_service_url(args))
-    out = client.submit(body, retries=args.submit_retries)
-    job = out["job"]
-    if out["existing"]:
-        print("replayed existing job (idempotent submission)")
-    _print_job(job, args.json)
-    if not args.wait:
-        return 0
-    job = client.wait(job["id"], timeout_s=args.wait_timeout)
-    _print_job(job, args.json)
-    return 0 if job["state"] == "succeeded" else EXIT_FAILURE
-
-
-def cmd_jobs(args) -> int:
-    from repro.service.client import ServiceClient
-    from repro.service.jobs import verify_job_results
-
-    client = ServiceClient(_service_url(args))
-    if args.id is None:
-        for job in client.jobs(tenant=args.tenant):
-            _print_job(job, args.json)
-        return 0
-    job = (client.wait(args.id, timeout_s=args.wait_timeout)
-           if args.wait else client.job(args.id))
-    _print_job(job, args.json)
-    code = 0
-    if args.wait and job["state"] != "succeeded":
-        code = EXIT_FAILURE
-    if args.verify:
-        problems = verify_job_results(job)
-        if problems:
-            print(f"VERIFY FAIL ({len(problems)} problem(s)):")
-            for problem in problems:
-                print(f"  {problem}")
-            return EXIT_FAILURE
-        print("verify: all point results present and checksum-clean")
-    return code
-
-
-def cmd_cancel(args) -> int:
-    from repro.service.client import ServiceClient
-
-    job = ServiceClient(_service_url(args)).cancel(args.id,
-                                                   tenant=args.tenant)
-    _print_job(job, args.json)
-    return 0
 
 
 def cmd_verify_replay(args) -> int:
@@ -817,7 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("sweep", help="load-latency sweep (Figure 4 style)")
-    p.add_argument("pattern", nargs="?", default="transpose")
+    p.add_argument("pattern", nargs="?", default="transpose",
+                   help=f"traffic pattern: {', '.join(PATTERN_NAMES)}")
     p.add_argument("--rates", default="0.05,0.15,0.25,0.35,0.45")
     p.add_argument("--schemes",
                    default="packet_vc4,hybrid_tdm_vc4,hybrid_tdm_vct")
@@ -891,111 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=120.0,
                    help="per-point wall-clock timeout in seconds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--service", action="store_true",
-                   help="chaos-test the job service instead: SIGKILL "
-                        "the whole server between polls, restart it, "
-                        "and assert every accepted job reaches a "
-                        "terminal state exactly once with checksum-"
-                        "clean results identical to a serial reference")
-    p.add_argument("--server-kill-rate", type=float, default=0.35,
-                   help="per-poll probability of SIGKILLing the server "
-                        "(service mode)")
-    p.add_argument("--server-kills", type=int, default=2,
-                   help="max server SIGKILLs in the campaign "
-                        "(service mode)")
-    p.add_argument("--service-timeout", type=float, default=300.0,
-                   help="campaign budget in seconds (service mode)")
     p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser("serve", help="run the job service (stdlib HTTP)")
-    p.add_argument("--data-dir", default="service-data",
-                   help="persistent root for job documents + results")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="0 binds an ephemeral port; the bound address "
-                        "is advertised in <data-dir>/service.json")
-    p.add_argument("--slots", type=int, default=2,
-                   help="jobs running concurrently")
-    p.add_argument("--sweep-jobs", type=int, default=1,
-                   help="worker processes per running job (0 = one "
-                        "per CPU)")
-    p.add_argument("--max-queue-depth", type=int, default=16,
-                   help="queued jobs accepted before 429 backpressure")
-    p.add_argument("--tenant-quota", type=int, default=8,
-                   help="queued+running jobs one tenant may hold")
-    p.add_argument("--max-points", type=int, default=64,
-                   help="largest point grid one job may resolve to")
-    p.add_argument("--drain-timeout", type=float, default=30.0,
-                   help="SIGTERM drain budget before in-flight points "
-                        "are killed (they resume after restart)")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="per-point wall-clock timeout in seconds")
-    p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--lease-ttl", type=float, default=60.0)
-    p.add_argument("--heartbeat-interval", type=float, default=1.0)
-    p.set_defaults(fn=cmd_serve)
-
-    def _add_client_flags(p, tenant_required: bool = False) -> None:
-        p.add_argument("--url", default=None,
-                       help="service URL (default: discover from "
-                            "<data-dir>/service.json)")
-        p.add_argument("--data-dir", default="service-data")
-        p.add_argument("--tenant", required=tenant_required, default=None)
-        p.add_argument("--json", action="store_true",
-                       help="print full job documents as JSON")
-
-    p = sub.add_parser("submit", help="submit a sweep job to a server")
-    _add_client_flags(p, tenant_required=True)
-    p.add_argument("--qos", default="bulk",
-                   choices=("interactive", "bulk"))
-    p.add_argument("--schemes",
-                   default="packet_vc4,hybrid_tdm_vc4,hybrid_tdm_vct")
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rates", default="0.05,0.15,0.25")
-    p.add_argument("--cpu-benchmarks", default=None,
-                   help="comma list of CPU benchmarks; with "
-                        "--gpu-benchmarks, submits a heterogeneous "
-                        "closed-loop sweep instead of pattern/rates")
-    p.add_argument("--gpu-benchmarks", default=None,
-                   help="comma list of GPU benchmarks (hetero sweep)")
-    p.add_argument("--phased", action="store_true",
-                   help="phase-structured hetero workload "
-                        "(hetero sweeps only)")
-    p.add_argument("--width", type=int, default=6)
-    p.add_argument("--height", type=int, default=6)
-    p.add_argument("--slot-table-size", type=int, default=128)
-    p.add_argument("--warmup", type=int, default=1500)
-    p.add_argument("--measure", type=int, default=4000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--deadline", type=float, default=None,
-                   help="wall-clock deadline in seconds; the job is "
-                        "killed and marked deadline_exceeded past it")
-    p.add_argument("--idempotency-key", default=None,
-                   help="retrying with the same key replays the "
-                        "original job instead of duplicating it")
-    p.add_argument("--submit-retries", type=int, default=0,
-                   help="retry 429/connection errors this many times "
-                        "(an idempotency key is auto-generated)")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job is terminal")
-    p.add_argument("--wait-timeout", type=float, default=600.0)
-    p.set_defaults(fn=cmd_submit)
-
-    p = sub.add_parser("jobs", help="list jobs or show one job")
-    _add_client_flags(p)
-    p.add_argument("id", nargs="?", default=None)
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job is terminal (requires id)")
-    p.add_argument("--wait-timeout", type=float, default=600.0)
-    p.add_argument("--verify", action="store_true",
-                   help="checksum-validate the job's on-disk results "
-                        "(requires local access to the data dir)")
-    p.set_defaults(fn=cmd_jobs)
-
-    p = sub.add_parser("cancel", help="cancel a job (idempotent)")
-    _add_client_flags(p)
-    p.add_argument("id")
-    p.set_defaults(fn=cmd_cancel)
 
     p = sub.add_parser("verify-replay",
                        help="verify snapshot/restore determinism")
@@ -1154,22 +882,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _classify_exit(exc: BaseException) -> Optional[int]:
     """Map an escaped exception to the uniform exit-code table, or
     None for genuine bugs (which must propagate with a traceback)."""
-    import urllib.error
-
     from repro.harness.supervisor import SweepConfigError
-    from repro.service.client import ServiceError
-    from repro.service.jobs import JobSpecError
 
-    if isinstance(exc, (SweepConfigError, JobSpecError)):
+    if isinstance(exc, SweepConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, ServiceError):
-        # backpressure and server-side trouble are retryable; other
-        # 4xx responses mean the request itself was wrong
-        if exc.status in (429, 503) or exc.status >= 500:
-            return EXIT_TRANSIENT
-        return EXIT_CONFIG
-    if isinstance(exc, (urllib.error.URLError, ConnectionError,
-                        TimeoutError, OSError)):
+    if isinstance(exc, (ConnectionError, TimeoutError, OSError)):
         return EXIT_TRANSIENT
     return None
 

@@ -366,255 +366,9 @@ def run_chaos(cfg: ChaosConfig, run_dir: str,
     return report
 
 
-def _write_report(run_dir: str, report: Dict, t0: float,
-                  name: str = "chaos-report.json") -> str:
+def _write_report(run_dir: str, report: Dict, t0: float) -> str:
     report["elapsed_s"] = round(time.time() - t0, 2)
-    path = os.path.join(run_dir, name)
+    path = os.path.join(run_dir, "chaos-report.json")
     store.write_json_atomic(path, report)
     report["report_path"] = path
     return path
-
-
-# ---------------------------------------------------------------------------
-# service-mode chaos: SIGKILL the whole job server between polls
-# ---------------------------------------------------------------------------
-@dataclasses.dataclass
-class ServiceChaosConfig:
-    """Knobs of a job-service chaos campaign."""
-
-    points: int = 6               #: bulk job's grid size (interactive: 2)
-    server_kill_rate: float = 0.35  #: per-poll P(SIGKILL the server)
-    kills: int = 2                #: max server SIGKILLs in the campaign
-    seed: int = 0
-    timeout_s: float = 300.0      #: whole-campaign wall budget
-    poll_s: float = 0.3
-    slots: int = 2
-    sweep_jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.points < 1:
-            raise ValueError("points must be >= 1")
-        if self.server_kill_rate < 0 or self.kills < 0:
-            raise ValueError("server_kill_rate/kills must be >= 0")
-
-
-def _service_job_specs(cfg: ServiceChaosConfig) -> List[Dict]:
-    """The campaign's submissions: one interactive, one bulk tenant.
-
-    Same point shape as :func:`chaos_points` (fast 3x3 grids), with
-    per-job idempotency keys so resubmission across server restarts is
-    provably deduplicated.
-    """
-    def rates(n: int) -> List[float]:
-        return [round(0.05 + 0.35 * i / max(1, n - 1), 3)
-                for i in range(n)]
-
-    sweep = {"schemes": ["packet_vc4"], "pattern": "uniform_random",
-             "seed": 1, "width": 3, "height": 3, "slot_table_size": 32,
-             "warmup": 150, "measure": 250}
-    return [
-        {"tenant": "chaos-interactive", "qos": "interactive",
-         "idempotency_key": "svc-chaos-interactive",
-         "sweep": dict(sweep, rates=rates(2))},
-        {"tenant": "chaos-bulk", "qos": "bulk",
-         "idempotency_key": "svc-chaos-bulk",
-         "sweep": dict(sweep, rates=rates(cfg.points))},
-    ]
-
-
-def _spawn_server(data_dir: str, cfg: ServiceChaosConfig, log_path: str):
-    """Launch ``repro serve`` on an ephemeral port; returns the Popen."""
-    import subprocess
-    import sys
-
-    log = open(log_path, "ab")
-    try:
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--data-dir", data_dir, "--port", "0",
-             "--slots", str(cfg.slots),
-             "--sweep-jobs", str(cfg.sweep_jobs),
-             "--timeout", "60", "--lease-ttl", "15",
-             "--heartbeat-interval", "0.5",
-             "--drain-timeout", "20"],
-            stdout=log, stderr=log)
-    finally:
-        log.close()
-
-
-def _wait_endpoint(data_dir: str, pid: int, timeout_s: float = 20.0) -> str:
-    """Block until the server *pid* has advertised its bound URL."""
-    from repro.service.http import endpoint_path
-    deadline = time.time() + timeout_s
-    while time.time() < deadline:
-        doc = store.read_json(endpoint_path(data_dir))
-        if isinstance(doc, dict) and doc.get("pid") == pid:
-            return doc["url"]
-        time.sleep(0.05)
-    raise TimeoutError(f"server pid {pid} never advertised an endpoint "
-                       f"under {data_dir}")
-
-
-def validate_service_chaos(data_dir: str, job_specs: List[Dict],
-                           job_ids: List[str],
-                           references: List[List[Dict]]) -> List[str]:
-    """The service chaos invariants; returns human-readable violations.
-
-    For every accepted job: exactly one terminal history entry and it
-    is ``succeeded``; the job document itself passes its integrity
-    hash; every point result on disk is checksum-clean; the result
-    rows are point-for-point identical to the job's undisturbed serial
-    reference.
-    """
-    from repro.service.jobs import (ST_SUCCEEDED, JobStore, points_for,
-                                    terminal_entries, verify_job_results)
-    problems: List[str] = []
-    jstore = JobStore(data_dir)
-    for spec, job_id, reference in zip(job_specs, job_ids, references):
-        tag = f"job {job_id} ({spec['tenant']})"
-        job = jstore.load(job_id)
-        if job is None:
-            problems.append(f"{tag}: job document missing or corrupt")
-            continue
-        terminals = terminal_entries(job)
-        if len(terminals) != 1:
-            problems.append(
-                f"{tag}: {len(terminals)} terminal history entries "
-                f"(must be exactly 1): {terminals}")
-        if job["state"] != ST_SUCCEEDED:
-            problems.append(f"{tag}: final state {job['state']!r} "
-                            f"(error: {job.get('error')})")
-            continue
-        problems.extend(f"{tag}: {p}" for p in verify_job_results(job))
-        rows = load_results(job["run_dir"])
-        points = points_for(job["spec"])
-        if len(rows) != len(points):
-            problems.append(f"{tag}: {len(rows)} results on disk for "
-                            f"{len(points)} points")
-        for index, (got, want) in enumerate(zip(rows, reference)):
-            if got["status"] != want["status"] \
-                    or got["row"] != want["row"]:
-                problems.append(f"{tag}: point {index} differs from the "
-                                f"serial reference")
-    return problems
-
-
-def run_service_chaos(cfg: ServiceChaosConfig, run_dir: str,
-                      progress: Optional[Callable[[str], None]] = None
-                      ) -> Dict:
-    """Service-mode chaos campaign; returns the (written) report.
-
-    Runs each job's grid serially first (ground truth), then serves a
-    real job server over *run_dir*, submits an interactive and a bulk
-    job, and SIGKILLs the whole server between status polls up to
-    ``cfg.kills`` times — restarting it each time and replaying the
-    submissions (same idempotency keys).  Asserts every accepted job
-    reaches a terminal state exactly once with checksum-clean results
-    identical to its serial reference, and that the final server
-    drains to exit code 0 on SIGTERM.
-    """
-    import signal as signal_mod
-
-    from repro.service.client import ServiceClient
-    from repro.service.jobs import TERMINAL_STATES, points_for
-
-    t0 = time.time()
-    log = progress or (lambda msg: None)
-    rng = random.Random(cfg.seed)
-    os.makedirs(run_dir, exist_ok=True)
-    data_dir = os.path.join(run_dir, "service-data")
-    specs = _service_job_specs(cfg)
-
-    references: List[List[Dict]] = []
-    for i, spec in enumerate(specs):
-        ref_dir = os.path.join(run_dir, f"reference-{spec['tenant']}")
-        log(f"reference {i + 1}/{len(specs)}: {spec['tenant']}, serial")
-        summary = run_supervised_sweep(
-            points_for(spec), ref_dir,
-            SupervisorConfig(enabled=True, jobs=1, timeout_s=60.0,
-                             backoff_s=0.05, backoff_cap_s=0.5))
-        references.append(summary["results"])
-
-    report: Dict = {"config": dataclasses.asdict(cfg),
-                    "server_kills": 0, "jobs": len(specs),
-                    "restarts": 0, "resubmissions": 0}
-    log_path = os.path.join(run_dir, "server.log")
-    proc = _spawn_server(data_dir, cfg, log_path)
-    job_ids: List[str] = []
-    problems: List[str] = []
-    try:
-        url = _wait_endpoint(data_dir, proc.pid)
-        client = ServiceClient(url)
-        for spec in specs:
-            out = client.submit(dict(spec), retries=5)
-            job_ids.append(out["job"]["id"])
-        log(f"submitted {len(job_ids)} job(s) to {url}")
-
-        deadline = t0 + cfg.timeout_s
-        while time.time() < deadline:
-            try:
-                jobs = [client.job(job_id) for job_id in job_ids]
-            except Exception:
-                jobs = None           # server down/restarting mid-poll
-            if jobs is not None and all(
-                    j["state"] in TERMINAL_STATES for j in jobs):
-                break
-            # the first kill fires as soon as a job is observed running
-            # (a campaign that never kills the server tests nothing);
-            # later kills are drawn from the seeded per-poll hazard
-            first_kill_due = (
-                report["server_kills"] == 0 and jobs is not None
-                and any(j["state"] == "running" for j in jobs))
-            if proc.poll() is None \
-                    and report["server_kills"] < cfg.kills \
-                    and (first_kill_due
-                         or (report["server_kills"] > 0
-                             and rng.random() < cfg.server_kill_rate)):
-                proc.kill()           # kill -9 the whole server
-                proc.wait()
-                report["server_kills"] += 1
-                log(f"SIGKILLed server (kill "
-                    f"{report['server_kills']}/{cfg.kills}); restarting")
-                proc = _spawn_server(data_dir, cfg, log_path)
-                url = _wait_endpoint(data_dir, proc.pid)
-                client = ServiceClient(url)
-                report["restarts"] += 1
-                # replay the submissions: idempotency keys must map
-                # them back to the original jobs, never duplicates
-                for spec, job_id in zip(specs, job_ids):
-                    out = client.submit(dict(spec), retries=5)
-                    report["resubmissions"] += 1
-                    if out["job"]["id"] != job_id:
-                        problems.append(
-                            f"resubmission of {spec['tenant']} created "
-                            f"a duplicate job {out['job']['id']} "
-                            f"(original {job_id})")
-                    elif not out["existing"]:
-                        problems.append(
-                            f"resubmission of {spec['tenant']} was not "
-                            f"flagged as an existing job")
-            time.sleep(cfg.poll_s)
-        else:
-            problems.append(
-                f"jobs not terminal within {cfg.timeout_s}s: "
-                + ", ".join(f"{j}" for j in job_ids))
-    finally:
-        if proc.poll() is None:       # graceful drain must exit 0
-            proc.send_signal(signal_mod.SIGTERM)
-            try:
-                code = proc.wait(timeout=30)
-            except Exception:
-                proc.kill()
-                proc.wait()
-                code = None
-            report["final_shutdown_exit"] = code
-            if code != 0:
-                problems.append(f"SIGTERM drain exited {code!r}, not 0")
-
-    problems.extend(
-        validate_service_chaos(data_dir, specs, job_ids, references))
-    report["ok"] = not problems
-    report["problems"] = problems
-    report["job_ids"] = job_ids
-    _write_report(run_dir, report, t0, name="service-chaos-report.json")
-    return report

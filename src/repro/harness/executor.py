@@ -20,10 +20,9 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import multiprocessing.connection
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 class WorkerStatus(enum.Enum):
@@ -46,9 +45,6 @@ class WorkSpec:
     heartbeat_path: Optional[str] = None
     heartbeat_interval_s: float = 1.0
     stderr_path: Optional[str] = None
-    #: owning job id (service layer); lets :meth:`Executor.kill_job`
-    #: terminate every worker of one job without touching the others
-    job: Optional[str] = None
     extra: Dict = field(default_factory=dict)
 
 
@@ -74,18 +70,6 @@ class Executor:
 
     def reap(self, handle) -> None:
         """Release transport resources for a finished/killed handle."""
-
-    def kill_job(self, job: str) -> int:
-        """Best-effort kill of every live worker tagged with *job*.
-
-        Returns the number of workers signalled.  The service layer
-        uses this for deadline/cancel enforcement: the supervisor loop
-        then observes the exits and (with its
-        :class:`~repro.harness.supervisor.SweepControl` cancelled)
-        finalises instead of retrying.  Transports that do not track
-        jobs may return 0 — lease expiry still reclaims the points.
-        """
-        return 0
 
     def pid(self, handle) -> Optional[int]:
         """Worker OS pid when known (used by lease files and chaos)."""
@@ -124,17 +108,10 @@ class LocalProcessExecutor(Executor):
                 self._ctx = multiprocessing.get_context("spawn")
         else:
             self._ctx = multiprocessing.get_context(context)
-        # job tag -> live handles; submit/reap may race with a service
-        # thread calling kill_job, hence the lock
-        self._jobs: Dict[str, List] = {}
-        self._jobs_lock = threading.Lock()
 
     def submit(self, spec: WorkSpec):
         proc = self._ctx.Process(target=_worker_entry, args=(spec,))
         proc.start()
-        if spec.job is not None:
-            with self._jobs_lock:
-                self._jobs.setdefault(spec.job, []).append(proc)
         return proc
 
     def poll(self, handle) -> WorkerStatus:
@@ -156,28 +133,11 @@ class LocalProcessExecutor(Executor):
             pass
 
     def reap(self, handle) -> None:
-        with self._jobs_lock:
-            for handles in self._jobs.values():
-                if handle in handles:
-                    handles.remove(handle)
         try:
             handle.join()
             handle.close()
         except ValueError:               # second reap: already closed
             pass
-
-    def kill_job(self, job: str) -> int:
-        with self._jobs_lock:
-            handles = list(self._jobs.get(job, []))
-        killed = 0
-        for handle in handles:
-            try:
-                if handle.is_alive():
-                    handle.kill()        # SIGKILL: deadline/cancel paths
-                    killed += 1
-            except ValueError:
-                pass
-        return killed
 
     def pid(self, handle) -> Optional[int]:
         try:

@@ -64,43 +64,6 @@ class SweepConfigError(RuntimeError):
     """A run directory cannot be safely resumed under the given spec."""
 
 
-class SweepControl:
-    """Cooperative control over one in-flight supervised sweep.
-
-    The service layer (:mod:`repro.service`) shares an instance with
-    the thread driving :func:`run_supervised_sweep`:
-
-    * :meth:`cancel` — kill every active worker and stop immediately
-      (deadline enforcement, explicit job cancellation).  The partial
-      results on disk stay checksum-valid and resumable.
-    * :meth:`request_yield` — stop launching *new* points; in-flight
-      points run to completion and the sweep returns with
-      ``stopped="preempted"`` once the last one finalises.  This is QoS
-      preemption: a bulk sweep yields its slot to an interactive job
-      between points, never mid-point.
-
-    Both are sticky; a control object belongs to one sweep invocation.
-    """
-
-    def __init__(self) -> None:
-        self._cancel = threading.Event()
-        self._yield = threading.Event()
-
-    def cancel(self) -> None:
-        self._cancel.set()
-
-    def request_yield(self) -> None:
-        self._yield.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancel.is_set()
-
-    @property
-    def should_yield(self) -> bool:
-        return self._yield.is_set()
-
-
 # ---------------------------------------------------------------------------
 # point specs and file layout
 # ---------------------------------------------------------------------------
@@ -640,9 +603,7 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
                          sup: Optional[SupervisorConfig] = None,
                          ckpt: Optional[CheckpointConfig] = None,
                          progress=None,
-                         executor: Optional[Executor] = None,
-                         control: Optional[SweepControl] = None,
-                         job: Optional[str] = None) -> Dict:
+                         executor: Optional[Executor] = None) -> Dict:
     """Run every point under supervision; returns the sweep summary.
 
     Up to ``sup.jobs`` points run concurrently (0 means one per CPU)
@@ -658,13 +619,6 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
     moved aside and re-run.  The manifest and the failure manifest are
     rewritten atomically (with embedded integrity hashes) after every
     point finalisation, so they are always consistent on disk.
-
-    *control* (a :class:`SweepControl`) lets another thread cancel the
-    sweep or ask it to yield its slot between points; the summary then
-    carries ``stopped`` (``"cancelled"``/``"preempted"``) and
-    ``remaining`` (points not yet finalised).  *job* tags every worker
-    with the owning service job id so :meth:`Executor.kill_job` can
-    terminate them as a group.
     """
     sup = sup or SupervisorConfig(enabled=True)
     ckpt = ckpt or CheckpointConfig()
@@ -727,8 +681,7 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
             checkpoint_cycles=ckpt.interval_cycles if ckpt.enabled else 0,
             heartbeat_path=hb,
             heartbeat_interval_s=sup.heartbeat_interval_s,
-            stderr_path=_stderr_path(run_dir, index),
-            job=job)
+            stderr_path=_stderr_path(run_dir, index))
         handle = executor.submit(spec)
         now_wall = time.time()
         store.write_json_atomic(lease_path(run_dir, index), {
@@ -766,34 +719,17 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
             "failures": sorted(failures, key=lambda f: f["index"]),
         })
 
-    stopped = None
     while pending or waiting or active:
         now = time.monotonic()
-        if control is not None and control.cancelled:
-            # deadline/cancel enforcement: kill the in-flight workers,
-            # release their leases and stop.  On-disk state stays
-            # checksum-valid; a later run re-runs the unfinished points.
-            for index in sorted(active):
-                lease = active[index]
-                executor.kill(lease.handle)
-                executor.reap(lease.handle)
-                _release_lease(index)
-            # active stays populated: the killed points are unfinished
-            # and must count into the summary's ``remaining``
-            stopped = "cancelled"
-            break
-        yielding = control is not None and control.should_yield
-        if not yielding:
-            # backoff-expired retries launch before fresh points: a
-            # point already attempted should not starve behind the
-            # rest of the grid
-            waiting.sort(key=lambda w: (w["resume"], w["index"]))
-            while waiting and len(active) < jobs \
-                    and waiting[0]["resume"] <= now:
-                entry = waiting.pop(0)
-                _launch(entry["index"], entry["attempts"] + 1)
-            while pending and len(active) < jobs:
-                _launch(pending.pop(), 1)
+        # backoff-expired retries launch before fresh points: a point
+        # already attempted should not starve behind the rest of the grid
+        waiting.sort(key=lambda w: (w["resume"], w["index"]))
+        while waiting and len(active) < jobs \
+                and waiting[0]["resume"] <= now:
+            entry = waiting.pop(0)
+            _launch(entry["index"], entry["attempts"] + 1)
+        while pending and len(active) < jobs:
+            _launch(pending.pop(), 1)
 
         now_wall = time.time()
         for index in sorted(active):
@@ -851,12 +787,6 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
                 _write_failure_manifest()
             _write_manifest()
 
-        if yielding and not active and (pending or waiting):
-            # slot handed back between points; unfinished work stays
-            # queued on disk for the next scheduling of this sweep
-            stopped = "preempted"
-            break
-
         if active:
             # wake on a worker exit, the next deadline/retry, or (capped
             # at 1 s) the next heartbeat-staleness check
@@ -869,9 +799,6 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
         elif waiting:
             resume = min(w["resume"] for w in waiting)
             delay = resume - time.monotonic()
-            if control is not None:
-                # stay responsive to cancel/yield while backing off
-                delay = min(delay, 0.1)
             if delay > 0:
                 time.sleep(delay)
 
@@ -882,8 +809,6 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
     failures.sort(key=lambda f: f["index"])
     return {"total": len(points), "completed": completed,
             "skipped": skipped, "failures": failures,
-            "stopped": stopped,
-            "remaining": len(pending) + len(waiting) + len(active),
             "results": load_results(run_dir)}
 
 

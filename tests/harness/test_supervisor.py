@@ -432,75 +432,6 @@ class TestQuarantine:
         assert summary["failures"] == []
 
 
-class TestSweepControl:
-    def test_cancel_kills_in_flight_workers(self, tmp_path):
-        """cancel() is the deadline/cancel path: hung workers are
-        killed now, nothing retries, and the summary says so."""
-        from repro.harness.supervisor import SweepControl
-        pts = build_sweep_points(["packet_vc4"], "uniform_random",
-                                 [0.05, 0.1, 0.15], width=3, height=3,
-                                 slot_table_size=32, warmup=200,
-                                 measure=200)
-        for p in pts:
-            p["_test_fail"] = "hang"
-        control = SweepControl()
-        timer = threading.Timer(0.5, control.cancel)
-        timer.start()
-        start = time.monotonic()
-        summary = run_supervised_sweep(pts, str(tmp_path / "run"),
-                                       _sup(jobs=3), control=control)
-        timer.join()
-        assert time.monotonic() - start < 30.0
-        assert summary["stopped"] == "cancelled"
-        assert summary["completed"] == 0
-        assert summary["remaining"] == 3
-        assert summary["failures"] == []
-
-    def test_yield_before_start_launches_nothing(self, tmp_path):
-        from repro.harness.supervisor import SweepControl
-        control = SweepControl()
-        control.request_yield()
-        pts = build_sweep_points(["packet_vc4"], "uniform_random",
-                                 [0.05, 0.1, 0.15], width=3, height=3,
-                                 slot_table_size=32, warmup=200,
-                                 measure=200)
-        summary = run_supervised_sweep(pts, str(tmp_path / "run"),
-                                       _sup(), control=control)
-        assert summary["stopped"] == "preempted"
-        assert summary["completed"] == 0
-        assert summary["remaining"] == 3
-
-    def test_yield_finishes_in_flight_point_then_stops(self, tmp_path):
-        """request_yield() is QoS preemption: the slot is handed back
-        between points, never mid-point, and the untouched points stay
-        runnable afterwards."""
-        from repro.harness.supervisor import SweepControl
-        pts = build_sweep_points(["packet_vc4"], "uniform_random",
-                                 [0.05, 0.1, 0.15], width=3, height=3,
-                                 slot_table_size=32, warmup=300,
-                                 measure=20000)
-        run_dir = str(tmp_path / "run")
-        control = SweepControl()
-        timer = threading.Timer(0.3, control.request_yield)
-        timer.start()
-        summary = run_supervised_sweep(pts, run_dir, _sup(jobs=1),
-                                       control=control)
-        timer.join()
-        assert summary["stopped"] == "preempted"
-        assert summary["failures"] == []
-        # whatever was in flight at yield time finished cleanly...
-        assert summary["completed"] >= 1
-        assert summary["remaining"] >= 1
-        assert summary["completed"] + summary["remaining"] == 3
-        # ...and a later scheduling of the same sweep picks up only the
-        # remainder (completed points skip on checksum validation)
-        done = run_supervised_sweep(pts, run_dir, _sup(jobs=1))
-        assert done["stopped"] is None
-        assert done["skipped"] == summary["completed"]
-        assert done["completed"] == 3       # includes the skipped points
-        assert len(load_results(run_dir)) == 3
-
-
 class TestRunnerCheckpointResume:
     def test_checkpointed_rerun_matches_uninterrupted(self, tmp_path):
         kw = dict(warmup=200, measure=300, seed=3, width=3, height=3,

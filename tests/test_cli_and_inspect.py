@@ -262,29 +262,42 @@ class TestSweepDryRun:
         assert "heartbeat" in capsys.readouterr().err
 
 
+class TestSweepSpecValidation:
+    """A bad sweep spec is exit 2 in every mode, before anything runs."""
+
+    MODES = {"plain": [], "supervised": ["--supervised", "--retries", "0"],
+             "dry_run": ["--dry-run"]}
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("spec,message", [
+        (["vortex", "--schemes", "packet_vc4"], "unknown pattern"),
+        (["neighbor", "--schemes", "packet_vc4,warp_drive"],
+         "unknown scheme"),
+    ], ids=["pattern", "scheme"])
+    def test_bad_spec_is_config_error(self, tmp_path, capsys, mode, spec,
+                                      message):
+        run_dir = tmp_path / "run"
+        argv = ["sweep", *spec, "--rates", "0.1", *self.MODES[mode]]
+        if mode == "supervised":
+            argv += ["--run-dir", str(run_dir)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        # no worker launched, so no point result was written
+        assert not (run_dir / "points").exists()
+
+
 class TestExitCodes:
     """One uniform exit-code table across every command (README)."""
 
     def test_classification_table(self):
-        import urllib.error
-
         from repro.cli import (EXIT_CONFIG, EXIT_TRANSIENT,
                                _classify_exit)
         from repro.harness.supervisor import SweepConfigError
-        from repro.service.client import ServiceError
-        from repro.service.jobs import JobSpecError
 
         assert _classify_exit(SweepConfigError("x")) == EXIT_CONFIG
-        assert _classify_exit(JobSpecError("x")) == EXIT_CONFIG
-        assert _classify_exit(ServiceError(400, "bad")) == EXIT_CONFIG
-        assert _classify_exit(ServiceError(429, "slow down")) \
-            == EXIT_TRANSIENT
-        assert _classify_exit(ServiceError(503, "draining")) \
-            == EXIT_TRANSIENT
-        assert _classify_exit(ServiceError(500, "boom")) \
-            == EXIT_TRANSIENT
         assert _classify_exit(ConnectionRefusedError()) == EXIT_TRANSIENT
-        assert _classify_exit(urllib.error.URLError("down")) \
+        assert _classify_exit(TimeoutError()) == EXIT_TRANSIENT
+        assert _classify_exit(OSError(28, "No space left")) \
             == EXIT_TRANSIENT
         assert _classify_exit(ValueError("bug")) is None
 
@@ -298,9 +311,15 @@ class TestExitCodes:
         assert cli.main(["sweep"]) == 130
         assert "interrupted" in capsys.readouterr().err
 
-    def test_unreachable_service_is_transient(self, capsys):
-        rc = main(["jobs", "--url", "http://127.0.0.1:9/"])
-        assert rc == 3
+    def test_os_error_from_a_command_is_transient(self, capsys,
+                                                  monkeypatch):
+        import repro.cli as cli
+
+        def boom(args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "cmd_sweep", boom)
+        assert cli.main(["sweep"]) == 3
         assert "error:" in capsys.readouterr().err
 
     def test_genuine_bug_propagates(self, monkeypatch):
